@@ -69,9 +69,15 @@ def _field_from_args(args):
 
 
 def _load_matrix(args):
+    """The --matrix file, checked against --m when that is given."""
     with open(args.matrix, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return param_matrix_from_json(obj, field=_field_from_args(args))
+    A = param_matrix_from_json(obj, field=_field_from_args(args))
+    if args.m is not None and _parse_m(args.m) != A.cell:
+        raise ValidationError(
+            f"--m {args.m} disagrees with the matrix file's m-vector {list(A.cell.m)}"
+        )
+    return A
 
 
 def _load_gens(path: str, field):
@@ -217,12 +223,6 @@ def _cmd_sample(args, out):
 
 def _cmd_psi(args, out):
     A = _load_matrix(args)
-    if args.m is not None:
-        expected = _parse_m(args.m)
-        if expected != A.cell:
-            raise ValidationError(
-                f"--m {args.m} disagrees with the matrix file's m-vector {list(A.cell.m)}"
-            )
     if args.homogeneous:
         polys = list(psi_bar(A).polys)
         key = "F"
@@ -239,12 +239,6 @@ def _cmd_psi(args, out):
 
 def _cmd_verify(args, out):
     A = _load_matrix(args)
-    if args.m is not None:
-        expected = _parse_m(args.m)
-        if expected != A.cell:
-            raise ValidationError(
-                f"--m {args.m} disagrees with the matrix file's m-vector {list(A.cell.m)}"
-            )
     basis = psi(A)
     if not verify_groebner_property(basis):
         raise InternalError("critical S-polynomials fail to reduce to zero")
@@ -277,12 +271,6 @@ def _cmd_canonicalize(args, out):
 
 def _cmd_betti(args, out):
     A = _load_matrix(args)
-    if args.m is not None:
-        expected = _parse_m(args.m)
-        if expected != A.cell:
-            raise ValidationError(
-                f"--m {args.m} disagrees with the matrix file's m-vector {list(A.cell.m)}"
-            )
     table = betti_mod.betti_numbers(A)
     per_degree = {
         str(j): table.beta1.get(j, 0) * u for j, u in sorted(table.beta0.items())

@@ -9,12 +9,14 @@ minors into a basis f_0..f_t with the same leading terms.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cell import MonomialCell, hilbert_function, make_cell
-from .errors import BoundViolation, InternalError, LeadingTermMismatch
+from .errors import BoundViolation, FieldMismatch, InternalError, LeadingTermMismatch
 from .field import char_ok, field_from_json
 from .groebner import divide
 from .poly import Poly, format_poly, parse_poly
@@ -89,40 +91,125 @@ def hb_matrix(A: ParamMatrix) -> list:
 
 
 class _MinorTable:
-    """Memoized cofactor expansion; sub-minors are shared across all the
-    maximal minors of one matrix via (rows, cols) keys.  The expansion
-    column is the one with the most zero entries left."""
+    """Memoized cofactor expansion over an integer image of the matrix.
+
+    Sub-minors are shared across every minor asked for via (row bitmask,
+    column tuple) keys.  The expansion column is the one with the most zero
+    entries left; the zero pattern is one row bitmask per column, so that
+    count is a popcount.
+
+    A monomial is one int holding each exponent in a bit field of fixed
+    width.  No exponent of a minor exceeds the sum over columns of the
+    largest entry degree, and the width holds that sum, so multiplying
+    monomials is one int addition that never carries.  Coefficients are
+    ints: over QQ each row is scaled by the lcm of its denominators, and a
+    minor is divided by the product of the scales of the rows it keeps when
+    it is converted back; over GF(p) they are residues mod p.  Only the
+    minors handed back become Poly values again.
+    """
 
     def __init__(self, rows, field, nvars):
-        self.rows = rows
+        for row in rows:
+            for e in row:
+                if not isinstance(e, Poly):
+                    raise TypeError(f"expected a polynomial, got {e!r}")
+                if e.field != field:
+                    raise FieldMismatch(f"mixed coefficient fields {field} and {e.field}")
+                if e.nvars != nvars:
+                    raise ValueError(
+                        f"mixed polynomial rings ({nvars} vs {e.nvars} variables)"
+                    )
         self.field = field
         self.nvars = nvars
-        self.memo: dict = {}
+        ncols = len(rows[0]) if rows else 0
+        top = sum(
+            max((sum(m) for row in rows for m in row[c].terms), default=0)
+            for c in range(ncols)
+        )
+        self.width = max(1, top.bit_length())
+        p = self.modulus = field.characteristic
+        if p:
+            self.scales = [1] * len(rows)
+        else:
+            self.scales = [
+                math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+                for row in rows
+            ]
 
-    def minor(self, ridx: tuple, cidx: tuple) -> Poly:
-        if not ridx:
-            return Poly.constant(self.field, self.nvars, self.field.one)
-        key = (ridx, cidx)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
+        def image(c, s):
+            return c.v if p else c.numerator * (s // c.denominator)
+
+        # columns[c][r]: entry (r, c) as {packed monomial: int coefficient}
+        self.columns = [
+            [
+                {self._pack(m): image(v, s) for m, v in row[c].terms.items()}
+                for row, s in zip(rows, self.scales)
+            ]
+            for c in range(ncols)
+        ]
+        self.nonzero = [
+            sum(1 << r for r, e in enumerate(col) if e) for col in self.columns
+        ]
+        self.memo: dict = {(0, ()): {0: 1}}  # the empty minor is 1
+
+    def _pack(self, mono: tuple) -> int:
+        return sum(e << (self.width * k) for k, e in enumerate(mono))
+
+    def minor(self, rowmask: int, cols: tuple) -> dict:
+        """The minor on the rows set in rowmask and on cols, as
+        {packed monomial: int coefficient} over the scaled rows."""
+        key = (rowmask, cols)
+        acc = self.memo.get(key)
+        if acc is not None:
+            return acc
+        nonzero = self.nonzero
         best_pos, best_zeros = 0, -1
-        for pos, c in enumerate(cidx):
-            nz = sum(1 for r in ridx if self.rows[r][c].is_zero())
+        for pos, c in enumerate(cols):
+            nz = (rowmask & ~nonzero[c]).bit_count()
             if nz > best_zeros:
                 best_pos, best_zeros = pos, nz
-        c = cidx[best_pos]
-        sub_cols = cidx[:best_pos] + cidx[best_pos + 1 :]
-        acc = Poly.zero(self.field, self.nvars)
-        for k, r in enumerate(ridx):
-            e = self.rows[r][c]
-            if e.is_zero():
-                continue
-            cof = self.minor(ridx[:k] + ridx[k + 1 :], sub_cols)
-            term = e * cof
-            acc = acc + term if (k + best_pos) % 2 == 0 else acc - term
+        c = cols[best_pos]
+        sub_cols = cols[:best_pos] + cols[best_pos + 1 :]
+        column, live = self.columns[c], nonzero[c]
+        acc = {}
+        rest, k = rowmask, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if low & live:
+                cof = self.minor(rowmask ^ low, sub_cols)
+                sign = -1 if (k + best_pos) % 2 else 1
+                for m1, c1 in column[low.bit_length() - 1].items():
+                    c1 *= sign
+                    for m2, c2 in cof.items():
+                        m = m1 + m2
+                        acc[m] = acc.get(m, 0) + c1 * c2
+            k += 1
+        p = self.modulus
+        if p:
+            acc = {m: r for m, v in acc.items() if (r := v % p)}
+        else:
+            acc = {m: v for m, v in acc.items() if v}
         self.memo[key] = acc
         return acc
+
+    def minor_poly(self, rowmask: int, cols: tuple) -> Poly:
+        """The minor on the given rows and columns, back in Poly form."""
+        field, w, n = self.field, self.width, self.nvars
+        mask = (1 << w) - 1
+        if self.modulus:
+            coeff = field.coerce
+        else:
+            den = math.prod(s for r, s in enumerate(self.scales) if rowmask >> r & 1)
+            coeff = lambda v: Fraction(v, den)
+        return Poly(
+            field,
+            n,
+            {
+                tuple(m >> (w * k) & mask for k in range(n)): coeff(v)
+                for m, v in self.minor(rowmask, cols).items()
+            },
+        )
 
 
 def determinant(rows) -> Poly:
@@ -133,8 +220,10 @@ def determinant(rows) -> Poly:
     if n == 0:
         raise ValueError("empty matrix")
     probe = rows[0][0]
+    if not isinstance(probe, Poly):
+        raise TypeError(f"expected a polynomial, got {probe!r}")
     table = _MinorTable(rows, probe.field, probe.nvars)
-    return table.minor(tuple(range(n)), tuple(range(n)))
+    return table.minor_poly((1 << n) - 1, tuple(range(n)))
 
 
 def maximal_minors(rows, field, nvars) -> list:
@@ -142,14 +231,12 @@ def maximal_minors(rows, field, nvars) -> list:
     row in turn, computed off one shared memo table."""
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
-    if nr != nc + 1:
+    if nr != nc + 1 or any(len(r) != nc for r in rows):
         raise ValueError("maximal minors expect one more row than columns")
     table = _MinorTable(rows, field, nvars)
-    all_rows = tuple(range(nr))
+    all_rows = (1 << nr) - 1
     cols = tuple(range(nc))
-    return [
-        table.minor(all_rows[:r] + all_rows[r + 1 :], cols) for r in range(nr)
-    ]
+    return [table.minor_poly(all_rows ^ (1 << r), cols) for r in range(nr)]
 
 
 def psi(A: ParamMatrix) -> IdealBasis:

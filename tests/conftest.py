@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from grobcell import QQ, make_cell, parse_poly, sample
+from grobcell import QQ, Poly, check_membership, make_cell, parse_poly, sample
 from grobcell.cell import enumerate_lex_segment_cells
 
 # Three reference cells used throughout.
@@ -96,3 +97,23 @@ def random_samples(field, count, seed, max_colength=20, min_colength=2):
         cell = rng.choice(cells)
         out.append((cell, sample(cell, field, seed=rng.randrange(2**32))))
     return out
+
+
+def with_fractions(A, rng):
+    """A copy of a QQ matrix with every coefficient multiplied by a random
+    positive rational, so each row mixes several denominators."""
+    entries = [
+        [
+            Poly.from_terms(
+                QQ,
+                1,
+                [
+                    (m, c * Fraction(rng.randint(1, 9), rng.randint(2, 9)))
+                    for m, c in e.terms.items()
+                ],
+            )
+            for e in row
+        ]
+        for row in A.entries
+    ]
+    return check_membership(A.cell, entries, QQ)

@@ -114,9 +114,14 @@ def test_psi_homogeneous(ex3_matrix_file):
     assert first == "x^3-x^2*y-2*x*y^2+2*y^3-2*x^2*z+x*y*z+y^2*z-x*z^2+2*y*z^2-2*z^3"
 
 
-def test_psi_m_mismatch(ex3_matrix_file):
-    code, _, err = invoke(["psi", "--m", "0,5,7,11", "--matrix", ex3_matrix_file])
-    assert code == 2 and "disagrees" in err
+@pytest.mark.parametrize("command", ["psi", "verify", "betti"])
+def test_m_mismatch(command, ex3_matrix_file):
+    code, out, err = invoke([command, "--m", "0,5,7,11", "--matrix", ex3_matrix_file])
+    assert code == 2 and out == ""
+    assert err == (
+        "error[VALIDATION]: --m 0,5,7,11 disagrees with the matrix file's "
+        "m-vector [0, 2, 3, 5]\n"
+    )
 
 
 def test_verify_golden_line(ex3_matrix_file):

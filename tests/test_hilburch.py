@@ -1,10 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
-from grobcell.errors import BoundViolation, LeadingTermMismatch
+from grobcell.errors import BoundViolation, FieldMismatch, LeadingTermMismatch
 from grobcell.hilburch import (
     IdealBasis,
     determinant,
@@ -18,7 +21,7 @@ from grobcell.hilburch import (
 from grobcell.cell import enumerate_lex_segment_cells, param_count
 from grobcell.poly import Poly, parse_poly
 
-from conftest import EX3_A_ROWS, EX3_REGENERATED, M_EX1, M_EX3
+from conftest import EX3_A_ROWS, EX3_REGENERATED, M_EX1, M_EX3, with_fractions
 
 
 def permutation_determinant(rows):
@@ -115,28 +118,106 @@ def test_determinant_trivial():
     assert determinant(rows) == parse_poly("y^3", QQ, 2)
 
 
+def random_poly_matrix(rng, field, nvars, n, coeff):
+    """An n x n matrix of two-term polynomials of degree <= 2 per variable;
+    terms may coincide or cancel, so some entries are zero."""
+    return [
+        [
+            Poly.from_terms(
+                field,
+                nvars,
+                [
+                    (tuple(rng.randint(0, 2) for _ in range(nvars)), coeff(rng))
+                    for _ in range(2)
+                ],
+            )
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
 def test_determinant_against_permutation_oracle():
     rng = random.Random(21)
-    for n in (2, 3, 4):
-        for _ in range(10):
-            rows = [
-                [
-                    Poly.from_terms(
-                        QQ,
-                        2,
-                        [
-                            (
-                                (rng.randint(0, 2), rng.randint(0, 2)),
-                                QQ.coerce(rng.randint(-3, 3)),
-                            )
-                            for _ in range(2)
-                        ],
-                    )
-                    for _ in range(n)
-                ]
-                for _ in range(n)
-            ]
-            assert determinant(rows) == permutation_determinant(rows)
+    cases = [
+        (QQ, 2, lambda r: QQ.coerce(r.randint(-3, 3))),
+        # non-integer coefficients: every row has its own denominators
+        (QQ, 2, lambda r: Fraction(r.randint(-6, 6), r.randint(1, 6))),
+        (QQ, 3, lambda r: Fraction(r.randint(-6, 6), r.randint(1, 6))),
+        # GF(3): products of nonzero terms often cancel to 0 mod p
+        (GF(3), 2, lambda r: GF(3).coerce(r.randrange(3))),
+        (GF(3), 3, lambda r: GF(3).coerce(r.randrange(3))),
+        (GF(10007), 3, lambda r: GF(10007).coerce(r.randrange(10007))),
+    ]
+    for field, nvars, coeff in cases:
+        for n in (2, 3, 4):
+            for _ in range(10):
+                rows = random_poly_matrix(rng, field, nvars, n, coeff)
+                assert determinant(rows) == permutation_determinant(rows)
+    rows = [
+        [parse_poly("3/4*y-5/6", QQ, 2), parse_poly("1/2*x", QQ, 2)],
+        [parse_poly("-x+7/3", QQ, 2), parse_poly("2/5*y^2", QQ, 2)],
+    ]
+    assert str(determinant(rows)) == "3/10*y^3+1/2*x^2-1/3*y^2-7/6*x"
+
+
+def test_minor_input_checks():
+    q = Poly.constant(QQ, 2, 1)
+    g = Poly.constant(GF(7), 2, 1)
+    q3 = Poly.constant(QQ, 3, 1)
+    with pytest.raises(FieldMismatch):
+        determinant([[q, q], [q, g]])
+    with pytest.raises(FieldMismatch):
+        maximal_minors([[q], [g]], QQ, 2)
+    with pytest.raises(FieldMismatch):
+        maximal_minors([[g], [g]], QQ, 2)
+    with pytest.raises(FieldMismatch):
+        determinant([[g, g], [g, Poly.constant(GF(5), 2, 1)]])
+    with pytest.raises(ValueError):
+        determinant([[q, q], [q, q3]])
+    with pytest.raises(ValueError):
+        maximal_minors([[q3], [q3]], QQ, 2)
+    with pytest.raises(ValueError):
+        determinant([[q, q], [q]])
+    with pytest.raises(ValueError):
+        determinant([[q, q, q], [q, q, q]])
+    with pytest.raises(ValueError):
+        determinant([])
+    with pytest.raises(ValueError):
+        maximal_minors([[q, q], [q, q]], QQ, 2)
+    with pytest.raises(ValueError):
+        maximal_minors([[q, q], [q, q], [q]], QQ, 2)
+    with pytest.raises(TypeError):
+        determinant([[q, q], [q, 1]])
+    with pytest.raises(TypeError):
+        determinant([[1, q], [q, q]])
+    with pytest.raises(TypeError):
+        maximal_minors([[q], ["y"]], QQ, 2)
+
+
+@st.composite
+def cells(draw):
+    """Small cells, lex-segment or not: m_0 = 0 < m_1 <= ... <= m_t."""
+    t = draw(st.integers(1, 4))
+    steps = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(t - 1)]
+    return make_cell(list(itertools.accumulate([0] + steps)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cell=cells(),
+    field=st.sampled_from([QQ, GF(101)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psi_equals_signed_leibniz_minors(cell, field, seed):
+    A = sample(cell, field, seed)
+    if field == QQ:
+        A = with_fractions(A, random.Random(seed))
+    rows = hb_matrix(A)
+    t = cell.t
+    for i, f in enumerate(psi(A).polys):
+        minor = permutation_determinant(rows[:i] + rows[i + 1 :])
+        assert f == (minor if (t - i) % 2 == 0 else -minor)
 
 
 def test_minor_sign_convention():

@@ -16,7 +16,7 @@ from grobcell.projective import (
     z_regular,
 )
 
-from conftest import EX3_A_ROWS
+from conftest import EX3_A_ROWS, with_fractions
 
 
 def P3(s, field=QQ):
@@ -79,21 +79,36 @@ def test_psi_bar_requires_lex_segment():
         psi_bar(zero_matrix(cell, QQ))
 
 
+def check_psi_bar(A, check_minors):
+    cell = A.cell
+    FB = psi_bar(A, check_minors=check_minors)
+    assert all(p.is_homogeneous() for p in FB.polys)
+    assert z_regular(list(FB.polys))
+    gb = buchberger(list(FB.polys))
+    assert set(initial_ideal(gb)) == {
+        (a, b, 0) for a, b in cell.minimal_generators()
+    }
+    assert [dehomogenize(p) for p in FB.polys] == list(psi(A).polys)
+
+
+@pytest.mark.filterwarnings("ignore:characteristic of GF")
 def test_psi_bar_properties_random():
     F = GF(10007)
     rng = random.Random(55)
     cells = enumerate_lex_segment_cells(16)
     for k in range(10):
         cell = rng.choice(cells)
-        A = sample(cell, F, seed=6000 + k)
-        FB = psi_bar(A, check_minors=(k % 3 == 0))
-        assert all(p.is_homogeneous() for p in FB.polys)
-        assert z_regular(list(FB.polys))
-        gb = buchberger(list(FB.polys))
-        assert set(initial_ideal(gb)) == {
-            (a, b, 0) for a, b in cell.minimal_generators()
-        }
-        assert [dehomogenize(p) for p in FB.polys] == list(psi(A).polys)
+        check_psi_bar(sample(cell, F, seed=6000 + k), check_minors=(k % 3 == 0))
+    # the three-variable minors over QQ with non-integer coefficients and
+    # over GF(3), where terms of the expansion cancel mod p
+    cells = enumerate_lex_segment_cells(10)
+    for k in range(8):
+        cell = rng.choice(cells)
+        if k % 2:
+            A = with_fractions(sample(cell, QQ, seed=6050 + k), rng)
+        else:
+            A = sample(cell, GF(3), seed=6050 + k)
+        check_psi_bar(A, check_minors=True)
 
 
 def test_z_regular_counterexamples():
