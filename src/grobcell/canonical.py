@@ -1,11 +1,14 @@
 """The inverse map: from generators of an ideal whose initial ideal is I0
 to the unique admissible parameter matrix presenting it.
 
-Pipeline: compute the reduced Groebner basis, normalize it into a basis
-f_0..f_t whose supports avoid x^t (except f_0's leading term), read a raw
-Hilbert-Burch matrix off the reductions of the t critical S-polynomials,
-then shrink oversized entries with paired row/column reduction moves until
-every slot satisfies the cell's degree bounds.
+Two entry points share one back end.  `canonicalize` takes arbitrary
+generators: it computes the reduced Groebner basis, checks or infers the
+cell from its initial ideal and picks the elements f_0..f_t with leading
+terms x^(t-i) y^(m_i).  `canonical_matrix` takes such a basis directly (for
+example psi(A), once certified): it strips x^t from the tails of f_1..f_t,
+reads a raw Hilbert-Burch matrix off the reductions of the t critical
+S-polynomials, then shrinks oversized entries with paired row/column
+reduction moves until every slot satisfies the cell's degree bounds.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def prepare_basis(gens, cell: MonomialCell) -> IdealBasis:
     """Groebner-reduce arbitrary generators and normalize to f_0..f_t."""
     gb = buchberger(gens)
     _check_initial_ideal(gb, cell)
-    return _prepare_from_gb(gb, cell)
+    return _strip_x_t_tails(_prepare_from_gb(gb, cell))
 
 
 def _check_initial_ideal(gb: GroebnerBasis, cell: MonomialCell):
@@ -111,9 +114,14 @@ def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell) -> IdealBasis:
             )
         lm = best.leading_monomial()
         fs.append(best.mul_term((target[0] - lm[0], target[1] - lm[1]), field.one))
+    return IdealBasis(cell, tuple(fs))
 
-    # Strip x^t-divisible monomials from the tails of f_1..f_t, killing the
-    # DRL-largest offender first so the process terminates.
+
+def _strip_x_t_tails(basis: IdealBasis) -> IdealBasis:
+    """Strip x^t-divisible monomials from the tails of f_1..f_t, killing the
+    DRL-largest offender first so the process terminates."""
+    t = basis.cell.t
+    fs = list(basis.polys)
     f0 = fs[0]
     for i in range(1, t + 1):
         f = fs[i]
@@ -125,7 +133,7 @@ def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell) -> IdealBasis:
             c = f.terms[worst]
             f = f - f0.mul_term((worst[0] - t, worst[1]), c)
         fs[i] = f
-    return IdealBasis(cell, tuple(fs))
+    return IdealBasis(basis.cell, tuple(fs))
 
 
 def extract_syzygies(basis: IdealBasis) -> RawSyzygyMatrix:
@@ -240,8 +248,22 @@ def canonicalize(gens, cell: MonomialCell = None, verify: bool = True) -> ParamM
         cell = cell_from_minimal_generators(initial_ideal(gb))
     else:
         _check_initial_ideal(gb, cell)
-    basis = _prepare_from_gb(gb, cell)
-    M = extract_syzygies(basis)
+    A = canonical_matrix(_prepare_from_gb(gb, cell))
+    if verify:
+        _verify_same_ideal(A, gb)
+    return A
+
+
+def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
+    """Return the admissible parameter matrix A whose maximal minors
+    generate the ideal of `basis`, a Groebner basis f_0..f_t with leading
+    terms x^(t-i) y^(m_i), monic, such as a certified psi(A).
+
+    Raises InternalReductionFailure when a critical S-polynomial does not
+    reduce to zero, that is when the basis is not a Groebner basis.
+    """
+    cell = basis.cell
+    M = extract_syzygies(_strip_x_t_tails(basis))
 
     t = cell.t
     max_raw = max(
@@ -260,11 +282,7 @@ def canonicalize(gens, cell: MonomialCell = None, verify: bool = True) -> ParamM
             )
         M = reduction_move(M, *slot)
         moves += 1
-
-    A = check_membership(cell, M.a_rows(), M.field)
-    if verify:
-        _verify_same_ideal(A, gb)
-    return A
+    return check_membership(cell, M.a_rows(), M.field)
 
 
 def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis):

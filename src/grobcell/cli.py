@@ -15,7 +15,7 @@ import sys
 
 from . import betti as betti_mod
 from . import cell as cell_mod
-from .canonical import canonicalize
+from .canonical import canonical_matrix, canonicalize
 from .errors import BadMVector, InternalError, ValidationError
 from .field import GF, QQ
 from .hilburch import (
@@ -199,7 +199,7 @@ def _cmd_sample(args, out):
         A = sample(cell, field, trial_seed)
         basis = psi(A)
         certified = verify_groebner_property(basis)
-        roundtrip = canonicalize(list(basis.polys), cell, verify=False) == A
+        roundtrip = certified and canonical_matrix(basis) == A
         if not (certified and roundtrip):
             failures += 1
         records.append(

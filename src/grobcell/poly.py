@@ -18,8 +18,6 @@ from .errors import DivisionByZero, FieldMismatch, ZeroPolynomial
 
 VAR_NAMES = {1: ("y",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
-NEG_INF = -math.inf
-
 
 def drl_key(mono: tuple) -> tuple:
     """Sort key realizing the DRL order: bigger key = bigger monomial."""
@@ -40,10 +38,6 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: tuple) -> int:
-    return sum(a)
 
 
 class Poly:
@@ -99,7 +93,7 @@ class Poly:
         return bool(self.terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) for m in self.terms}
+        degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
     # -- ring operations -------------------------------------------------
@@ -193,8 +187,8 @@ class Poly:
     def degree(self):
         """Total degree; -inf for the zero polynomial."""
         if not self.terms:
-            return NEG_INF
-        return mono_degree(self.leading_monomial())
+            return -math.inf
+        return sum(self.leading_monomial())
 
     def coeff(self, mono: tuple):
         return self.terms.get(tuple(mono), self.field.zero)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from grobcell import QQ, Poly, check_membership, make_cell, parse_poly, sample
 from grobcell.cell import enumerate_lex_segment_cells
@@ -117,3 +119,11 @@ def with_fractions(A, rng):
         for row in A.entries
     ]
     return check_membership(A.cell, entries, QQ)
+
+
+@st.composite
+def cells(draw, max_t=4):
+    """Small cells, lex-segment or not: m_0 = 0 < m_1 <= ... <= m_t."""
+    t = draw(st.integers(1, max_t))
+    steps = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(t - 1)]
+    return make_cell(list(itertools.accumulate([0] + steps)))

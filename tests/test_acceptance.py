@@ -16,6 +16,7 @@ import pytest
 
 from grobcell import GF, QQ, canonicalize, make_cell, psi, sample
 from grobcell.betti import betti_numbers, index_sets, strata_codim
+from grobcell.canonical import canonical_matrix
 from grobcell.cell import enumerate_lex_segment_cells, hilbert_function
 from grobcell.cli import run
 from grobcell.groebner import buchberger, initial_ideal, minimalize_homogeneous
@@ -127,7 +128,10 @@ def test_criterion_5_bijectivity(forward_samples):
     with criterion(5, "same 250 samples canonicalize back to the exact matrix"):
         failures = 0
         for cell, A in forward_samples:
-            if canonicalize(list(psi(A).polys), cell, verify=False) != A:
+            basis = psi(A)
+            if canonicalize(list(basis.polys), cell, verify=False) != A:
+                failures += 1
+            if canonical_matrix(basis) != A:
                 failures += 1
         assert failures == 0
 

@@ -1,19 +1,28 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grobcell import GF, QQ, canonicalize, make_cell, psi, sample, zero_matrix
 from grobcell.canonical import (
+    canonical_matrix,
     extract_syzygies,
     grade_bound,
     prepare_basis,
     reduction_move,
 )
-from grobcell.errors import MoveNotApplicable, WrongInitialIdeal
+from grobcell.errors import InternalReductionFailure, MoveNotApplicable, WrongInitialIdeal
 from grobcell.groebner import buchberger, divide, initial_ideal
-from grobcell.hilburch import IdealBasis, maximal_minors, param_matrix_from_strings
+from grobcell.hilburch import (
+    IdealBasis,
+    maximal_minors,
+    param_matrix_from_strings,
+    verify_groebner_property,
+)
 from grobcell.cell import enumerate_lex_segment_cells
-from grobcell.poly import parse_poly
+from grobcell.poly import drl_key, mono_mul, parse_poly
 
 from conftest import (
     EX3_A_ROWS,
@@ -23,6 +32,8 @@ from conftest import (
     EX3_GENS,
     EX3_RAW_MATRIX,
     M_EX1,
+    cells,
+    with_fractions,
 )
 
 
@@ -262,3 +273,58 @@ def test_canonicalize_from_scrambled_generators(ex3_gens, ex3_cell):
     ]
     A = canonicalize(scrambled, ex3_cell)
     assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
+
+
+def test_canonical_matrix_worked_example(ex3_gens, ex3_cell):
+    # the example's generators already form a Groebner basis with the
+    # staircase leading terms; only f_1 carries an x^t tail
+    A = canonical_matrix(IdealBasis(ex3_cell, tuple(ex3_gens)))
+    assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
+
+
+def test_canonical_matrix_rejects_non_groebner_basis(ex3_gens, ex3_cell):
+    fs = list(ex3_gens)
+    fs[3] = fs[3] + P("x")  # same leading terms, different ideal
+    with pytest.raises(InternalReductionFailure, match="does not reduce to zero"):
+        canonical_matrix(IdealBasis(ex3_cell, tuple(fs)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cell=cells(max_t=5),
+    field=st.sampled_from([QQ, GF(101)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonical_matrix_of_psi_equals_buchberger_route(cell, field, seed):
+    A = sample(cell, field, seed)
+    if field == QQ:
+        A = with_fractions(A, random.Random(seed))
+    basis = psi(A)
+    assert canonical_matrix(basis) == A
+    assert canonicalize(list(basis.polys), cell, verify=False) == A
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cell=cells(max_t=5),
+    field=st.sampled_from([QQ, GF(101)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonical_matrix_with_moves_equals_buchberger_route(cell, field, seed):
+    # f_i += c*mu*f_j with mu*lm(f_j) < lm(f_i) keeps the ideal and every
+    # leading term, so the basis stays certified but is no psi output
+    rng = random.Random(seed)
+    fs = list(psi(sample(cell, field, seed)).polys)
+    for _ in range(4):
+        i, j = rng.randrange(len(fs)), rng.randrange(len(fs))
+        lm_i, lm_j = fs[i].leading_monomial(), fs[j].leading_monomial()
+        mus = [
+            mu for mu in itertools.product(range(3), range(4))
+            if drl_key(mono_mul(mu, lm_j)) < drl_key(lm_i)
+        ]
+        if mus:
+            c = field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+            fs[i] = fs[i] + fs[j].mul_term(rng.choice(mus), c)
+    basis = IdealBasis(cell, tuple(fs))
+    assert verify_groebner_property(basis)
+    assert canonical_matrix(basis) == canonicalize(fs, cell, verify=False)

@@ -107,6 +107,21 @@ def test_sample_trials():
     assert [r["seed"] for r in obj["results"]] == [3 ^ 0, 3 ^ 1, 3 ^ 2, 3 ^ 3]
 
 
+def test_sample_trials_report_failed_certificate(monkeypatch):
+    # a basis that fails the certificate is a failed trial, not bad input
+    monkeypatch.setattr("grobcell.cli.verify_groebner_property", lambda basis: False)
+    code, out, err = invoke(
+        ["sample", "--m", "0,2,3", "--field", "fp", "--prime", "101",
+         "--seed", "3", "--trials", "2", "--json"]
+    )
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["failures"] == 2
+    assert all(
+        not r["groebner_certified"] and not r["roundtrip_exact"] for r in obj["results"]
+    )
+
+
 def test_psi_homogeneous(ex3_matrix_file):
     code, out, _ = invoke(["psi", "--matrix", ex3_matrix_file, "--homogeneous"])
     assert code == 0

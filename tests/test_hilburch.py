@@ -21,7 +21,7 @@ from grobcell.hilburch import (
 from grobcell.cell import enumerate_lex_segment_cells, param_count
 from grobcell.poly import Poly, parse_poly
 
-from conftest import EX3_A_ROWS, EX3_REGENERATED, M_EX1, M_EX3, with_fractions
+from conftest import EX3_A_ROWS, EX3_REGENERATED, M_EX1, M_EX3, cells, with_fractions
 
 
 def permutation_determinant(rows):
@@ -193,14 +193,6 @@ def test_minor_input_checks():
         determinant([[1, q], [q, q]])
     with pytest.raises(TypeError):
         maximal_minors([[q], ["y"]], QQ, 2)
-
-
-@st.composite
-def cells(draw):
-    """Small cells, lex-segment or not: m_0 = 0 < m_1 <= ... <= m_t."""
-    t = draw(st.integers(1, 4))
-    steps = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(t - 1)]
-    return make_cell(list(itertools.accumulate([0] + steps)))
 
 
 @settings(max_examples=40, deadline=None)
