@@ -6,9 +6,14 @@ generators: it computes the reduced Groebner basis, checks or infers the
 cell from its initial ideal and picks the elements f_0..f_t with leading
 terms x^(t-i) y^(m_i).  `canonical_matrix` takes such a basis directly (for
 example psi(A), once certified): it strips x^t from the tails of f_1..f_t,
-reads a raw Hilbert-Burch matrix off the reductions of the t critical
+reads a raw parameter matrix A off the reductions of the t critical
 S-polynomials, then shrinks oversized entries with paired row/column
 reduction moves until every slot satisfies the cell's degree bounds.
+
+The working matrix holds the K[y] entries of A alone, in a ParamMatrix
+that is admissible only once check_membership passes at the end; X stays
+implicit.  A move is a row and a column operation on X + A whose x terms
+cancel, so it is carried out as univariate updates of A.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ from .errors import (
     WrongInitialIdeal,
 )
 from .groebner import GroebnerBasis, buchberger, divide, initial_ideal
-from .hilburch import IdealBasis, ParamMatrix, check_membership, psi, verify_groebner_property
+from .hilburch import (
+    IdealBasis,
+    ParamMatrix,
+    check_membership,
+    critical_reductions,
+    psi,
+    verify_groebner_property,
+)
 from .poly import Poly, drl_key, uni_divmod
 
 
@@ -31,52 +43,6 @@ def grade_bound(cell: MonomialCell, i: int, j: int) -> int:
     less than the entry degree above the diagonal, the entry degree below."""
     u = cell.u(i, j)
     return u - 1 if i <= j else u
-
-
-class RawSyzygyMatrix:
-    """A working Hilbert-Burch matrix X + A_raw whose columns are syzygies
-    of the current basis; A_raw obeys the looser raw bounds, not yet the
-    cell's."""
-
-    def __init__(self, cell: MonomialCell, field, rows):
-        self.cell = cell
-        self.field = field
-        self.rows = [list(r) for r in rows]
-
-    def copy(self) -> "RawSyzygyMatrix":
-        return RawSyzygyMatrix(self.cell, self.field, [list(r) for r in self.rows])
-
-    def a_entry(self, i: int, j: int) -> Poly:
-        """The parameter part of slot (i, j), 1-based, as a poly in y."""
-        e = self.rows[i - 1][j - 1]
-        if i == j:
-            e = e - Poly.monomial(self.field, 2, (0, self.cell.d_of(j)))
-        elif i == j + 1:
-            e = e + Poly.monomial(self.field, 2, (1, 0))
-        for mono in e.terms:
-            if mono[0] != 0:
-                raise InternalError(
-                    f"slot ({i},{j}) of the working matrix is not univariate: {e}"
-                )
-        return Poly(self.field, 1, {(m[1],): c for m, c in e.terms.items()})
-
-    def a_rows(self) -> list:
-        t = self.cell.t
-        return [
-            [self.a_entry(i, j) for j in range(1, t + 1)] for i in range(1, t + 2)
-        ]
-
-    def validate(self):
-        """Shape and raw-bound check; violations mean a defect, not input."""
-        t = self.cell.t
-        for i in range(1, t + 2):
-            for j in range(1, t + 1):
-                a = self.a_entry(i, j)
-                if a.degree() > grade_bound(self.cell, i, j):
-                    raise InternalError(
-                        f"raw bound broken at ({i},{j}): deg {a.degree()} > "
-                        f"{grade_bound(self.cell, i, j)}"
-                    )
 
 
 def prepare_basis(gens, cell: MonomialCell) -> IdealBasis:
@@ -136,47 +102,48 @@ def _strip_x_t_tails(basis: IdealBasis) -> IdealBasis:
     return IdealBasis(basis.cell, tuple(fs))
 
 
-def extract_syzygies(basis: IdealBasis) -> RawSyzygyMatrix:
-    """Column i encodes the reduction of y^(d_i) f_(i-1) - x f_i; the
-    quotients land in K[y] because no support monomial of the S-polynomial
-    is divisible by x^(t+1)."""
+def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
+    """The raw matrix A: column i is minus the quotients of the reduction of
+    the i-th critical S-polynomial y^(d_i) f_(i-1) - x f_i, so the columns
+    of X + A are syzygies of f_0..f_t.  The quotients land in K[y] because
+    no support monomial of the S-polynomial is divisible by x^(t+1)."""
     cell = basis.cell
-    t = cell.t
-    fs = basis.polys
-    field = fs[0].field
-    a_raw = [[Poly.zero(field, 1) for _ in range(t)] for _ in range(t + 1)]
-    for i in range(1, t + 1):
-        s = fs[i - 1].mul_term((0, cell.d_of(i)), field.one) - fs[i].mul_term(
-            (1, 0), field.one
-        )
-        if s.is_zero():
-            continue
-        res = divide(s, fs)
+    field = basis.polys[0].field
+    cols = []
+    for i, res in enumerate(critical_reductions(basis), 1):
         if not res.remainder.is_zero():
             raise InternalReductionFailure(
                 f"critical S-polynomial {i} does not reduce to zero"
             )
+        col = []
         for j, q in enumerate(res.quotients):
-            if q.is_zero():
-                continue
             if any(m[0] != 0 for m in q.terms):
                 raise InternalReductionFailure(
                     f"syzygy quotient on f_{j} is not univariate: {q}"
                 )
-            a_raw[j][i - 1] = -Poly(field, 1, {(m[1],): c for m, c in q.terms.items()})
-
-    rows = [[a_raw[r][c].embed(2) for c in range(t)] for r in range(t + 1)]
-    for i in range(1, t + 1):
-        rows[i - 1][i - 1] = rows[i - 1][i - 1] + Poly.monomial(field, 2, (0, cell.d_of(i)))
-        rows[i][i - 1] = rows[i][i - 1] - Poly.monomial(field, 2, (1, 0))
-    M = RawSyzygyMatrix(cell, field, rows)
-    M.validate()
+            col.append(-Poly(field, 1, {(m[1],): c for m, c in q.terms.items()}))
+        cols.append(col)
+    rows = tuple(tuple(c[r] for c in cols) for r in range(cell.t + 1))
+    M = ParamMatrix(cell, field, rows)
+    _check_raw_bounds(M)
     return M
 
 
-def reduction_move(M: RawSyzygyMatrix, i: int, j: int) -> RawSyzygyMatrix:
-    """Divide the slot (i, j) by the governing diagonal pivot and apply the
-    paired row/column operation that removes the spurious x multiple.
+def _check_raw_bounds(M: ParamMatrix):
+    """Raw-bound check of the working matrix; a violation means a defect,
+    not bad input."""
+    cell = M.cell
+    for i in range(1, cell.t + 2):
+        for j in range(1, cell.t + 1):
+            deg, bound = M.entry(i, j).degree(), grade_bound(cell, i, j)
+            if deg > bound:
+                raise InternalError(f"raw bound broken at ({i},{j}): deg {deg} > {bound}")
+
+
+def reduction_move(M: ParamMatrix, i: int, j: int) -> ParamMatrix:
+    """Divide the slot (i, j) by the governing diagonal pivot y^(d) + a and
+    apply the paired row/column operation on X + A that removes the
+    spurious x multiple, written as updates of A alone.
 
     Applicable only when the entry's degree reaches d_i (above the
     diagonal) or d_j (below); the maximal minors of the result generate
@@ -185,35 +152,45 @@ def reduction_move(M: RawSyzygyMatrix, i: int, j: int) -> RawSyzygyMatrix:
     t = cell.t
     if i == j or not (1 <= i <= t + 1 and 1 <= j <= t):
         raise MoveNotApplicable(f"no reduction move at slot ({i},{j})")
-    piv = i if i < j else j
-    a = M.a_entry(i, j)
+    piv = min(i, j)
+    a = M.entry(i, j)
     if a.degree() < cell.d_of(piv):
         raise MoveNotApplicable(
             f"slot ({i},{j}) has degree {a.degree()}, below the pivot degree "
             f"{cell.d_of(piv)}"
         )
-    pivot = Poly.monomial(field, 1, (cell.d_of(piv),)) + M.a_entry(piv, piv)
-    q, _ = uni_divmod(a, pivot)
-    qb = q.embed(2)
+    q, _ = uni_divmod(a, Poly.monomial(field, 1, (cell.d_of(piv),)) + M.entry(piv, piv))
 
-    out = M.copy()
-    rows = out.rows
+    def q_y(k):  # q * y^(d_k), the diagonal entry of X in column k times q
+        return q.mul_term((cell.d_of(k),), field.one)
+
+    # A[r][c] is slot (r+1, c+1).  The -x that each operation picks up from
+    # the subdiagonal of X is cancelled by the other operation of the pair.
+    A = [list(r) for r in M.entries]
     if i < j:
+        # column j -= q * column i, then row i+1 += q * row j+1
         for r in range(t + 1):
-            rows[r][j - 1] = rows[r][j - 1] - qb * rows[r][i - 1]
+            A[r][j - 1] = A[r][j - 1] - q * A[r][i - 1]
+        A[i - 1][j - 1] = A[i - 1][j - 1] - q_y(i)
         for c in range(t):
-            rows[i][c] = rows[i][c] + qb * rows[j][c]
+            A[i][c] = A[i][c] + q * A[j][c]
+        if j < t:
+            A[i][j] = A[i][j] + q_y(j + 1)
     else:
+        # row i -= q * row j, then column j-1 += q * column i-1
         for c in range(t):
-            rows[i - 1][c] = rows[i - 1][c] - qb * rows[j - 1][c]
+            A[i - 1][c] = A[i - 1][c] - q * A[j - 1][c]
+        A[i - 1][j - 1] = A[i - 1][j - 1] - q_y(j)
         if j >= 2:
             for r in range(t + 1):
-                rows[r][j - 2] = rows[r][j - 2] + qb * rows[r][i - 2]
-    out.validate()
+                A[r][j - 2] = A[r][j - 2] + q * A[r][i - 2]
+            A[i - 2][j - 2] = A[i - 2][j - 2] + q_y(i - 1)
+    out = ParamMatrix(cell, field, tuple(tuple(r) for r in A))
+    _check_raw_bounds(out)
     return out
 
 
-def _find_violation(M: RawSyzygyMatrix):
+def _find_violation(M: ParamMatrix):
     """Scan in the fixed discipline: grow the validated upper-left block;
     within each block check the last row right-to-left, then the last
     column top-to-bottom.  Returns the first offending (i, j) or None."""
@@ -221,7 +198,7 @@ def _find_violation(M: RawSyzygyMatrix):
     t = cell.t
 
     def too_big(i, j):
-        return M.a_entry(i, j).degree() > cell.bound(i, j)
+        return M.entry(i, j).degree() > cell.bound(i, j)
 
     for s in range(1, t + 1):
         for j in range(s, 0, -1):
@@ -233,12 +210,12 @@ def _find_violation(M: RawSyzygyMatrix):
     return None
 
 
-def canonicalize(gens, cell: MonomialCell = None, verify: bool = True) -> ParamMatrix:
+def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
     """Return the admissible parameter matrix A with I_t(X+A) = (gens).
 
     The cell, when omitted, is inferred from the computed initial ideal.
-    With verify=True the result is re-expanded through its minors and both
-    generating sets are reduced against each other.
+    The result is re-expanded through its minors and both generating sets
+    are reduced against each other before it is returned.
     """
     gens = list(gens)
     if not gens:
@@ -249,8 +226,7 @@ def canonicalize(gens, cell: MonomialCell = None, verify: bool = True) -> ParamM
     else:
         _check_initial_ideal(gb, cell)
     A = canonical_matrix(_prepare_from_gb(gb, cell))
-    if verify:
-        _verify_same_ideal(A, gb)
+    _verify_same_ideal(A, gb)
     return A
 
 
@@ -282,7 +258,7 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
             )
         M = reduction_move(M, *slot)
         moves += 1
-    return check_membership(cell, M.a_rows(), M.field)
+    return check_membership(cell, M.entries, M.field)
 
 
 def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis):

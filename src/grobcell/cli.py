@@ -192,6 +192,8 @@ def _cmd_sample(args, out):
                 out.write(line + "\n")
         return 0
 
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     records = []
     failures = 0
     for k in range(args.trials):

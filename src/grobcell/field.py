@@ -225,9 +225,14 @@ def char_ok(field, h) -> bool:
 def field_from_json(obj) -> Rationals | PrimeField:
     if obj is None:
         return QQ
+    if not isinstance(obj, dict):
+        raise ValueError(f"'field' must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "rationals":
         return QQ
     if kind == "prime_field":
-        return GF(int(obj["prime"]))
+        prime = obj.get("prime")
+        if type(prime) is not int:
+            raise ValueError(f"'prime' must be an integer, got {prime!r}")
+        return GF(prime)
     raise ValueError(f"unknown field kind {kind!r}")

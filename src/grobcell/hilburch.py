@@ -18,14 +18,17 @@ from fractions import Fraction
 from .cell import MonomialCell, hilbert_function, make_cell
 from .errors import BoundViolation, FieldMismatch, InternalError, LeadingTermMismatch
 from .field import char_ok, field_from_json
-from .groebner import divide
+from .groebner import DivisionResult, divide
 from .poly import Poly, format_poly, parse_poly
 
 
 @dataclass(frozen=True)
 class ParamMatrix:
-    """A (t+1) x t matrix of univariate polynomials in y satisfying the
-    cell's degree bounds; the coordinates of one point of the cell."""
+    """A (t+1) x t matrix of univariate polynomials in y.
+
+    A value is admissible, the coordinates of one point of the cell, only
+    once check_membership has passed on it; the inverse map also keeps its
+    working matrix here, under the looser raw bounds, while it reduces it."""
 
     cell: MonomialCell
     field: object
@@ -276,15 +279,26 @@ def verify_groebner_property(basis: IdealBasis) -> bool:
             )
         if f.leading_coeff() != field.one:
             raise LeadingTermMismatch(f"f_{i} must be monic")
-    for i in range(1, t + 1):
+    return all(r.remainder.is_zero() for r in critical_reductions(basis))
+
+
+def critical_reductions(basis: IdealBasis):
+    """Yield, for i = 1..t, the division of the critical S-polynomial
+    y^(d_i) f_(i-1) - x f_i by f_0..f_t.  The basis is a Groebner basis
+    exactly when every remainder is zero; then the quotients give the
+    columns of its Hilbert-Burch matrix.  A zero S-polynomial is not
+    divided: its quotients are zero.  Lazy, so a caller can stop at the
+    first nonzero remainder."""
+    cell = basis.cell
+    fs = basis.polys
+    field = fs[0].field
+    zero = Poly.zero(field, 2)
+    trivial = DivisionResult(tuple(zero for _ in fs), zero)
+    for i in range(1, cell.t + 1):
         s = fs[i - 1].mul_term((0, cell.d_of(i)), field.one) - fs[i].mul_term(
             (1, 0), field.one
         )
-        if s.is_zero():
-            continue
-        if not divide(s, fs).remainder.is_zero():
-            return False
-    return True
+        yield divide(s, fs) if s else trivial
 
 
 def sample(cell: MonomialCell, field, seed: int) -> ParamMatrix:
@@ -323,10 +337,19 @@ def param_matrix_to_json(A: ParamMatrix) -> dict:
 
 
 def param_matrix_from_json(obj: dict, field=None) -> ParamMatrix:
-    cell = make_cell(obj["m"])
+    if not isinstance(obj, dict):
+        raise ValueError("a parameter matrix must be a JSON object")
+    m, rows = obj.get("m"), obj.get("entries")
+    if not isinstance(m, list) or any(type(v) is not int for v in m):
+        raise ValueError(f"'m' must be a list of integers, got {m!r}")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows
+    ):
+        raise ValueError("'entries' must be a list of rows of polynomial strings")
+    cell = make_cell(m)
     if field is None:
         field = field_from_json(obj.get("field"))
-    entries = [[parse_poly(s, field, 1) for s in row] for row in obj["entries"]]
+    entries = [[parse_poly(s, field, 1) for s in row] for row in rows]
     return check_membership(cell, entries, field)
 
 

@@ -4,8 +4,8 @@ monomial criterion for z being a non-zero-divisor.
 
 Because the term order compares total degree first, a basis and its
 homogenization share leading terms, so the projective basis is literally
-the homogenization of the affine one; the direct three-variable minors are
-kept behind a cross-check flag.
+the homogenization of the affine one; the tests check this against the
+direct three-variable minors of X + A^hom.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .cell import MonomialCell
 from .errors import NotGroebner, NotHomogeneous, NotLexSegment
 from .groebner import buchberger, initial_ideal, is_groebner
-from .hilburch import ParamMatrix, maximal_minors, psi
+from .hilburch import ParamMatrix, psi
 from .poly import Poly, dehomogenize, homogenize
 
 
@@ -38,17 +38,6 @@ def homogenize_matrix(A: ParamMatrix) -> tuple:
     return tuple(out)
 
 
-def hom_hb_matrix(A: ParamMatrix) -> list:
-    """X + A^hom over K[x, y, z]."""
-    cell, field = A.cell, A.field
-    t = cell.t
-    rows = [list(r) for r in homogenize_matrix(A)]
-    for i in range(1, t + 1):
-        rows[i - 1][i - 1] = rows[i - 1][i - 1] + Poly.monomial(field, 3, (0, cell.d_of(i), 0))
-        rows[i][i - 1] = rows[i][i - 1] - Poly.monomial(field, 3, (1, 0, 0))
-    return rows
-
-
 @dataclass(frozen=True)
 class HomIdealBasis:
     """Homogeneous F_0..F_t with in(F_i) = x^(t-i) y^(m_i)."""
@@ -57,28 +46,12 @@ class HomIdealBasis:
     polys: tuple
 
 
-def psi_bar(A: ParamMatrix, check_minors: bool = False) -> HomIdealBasis:
-    """The projective parametrization: homogenize each affine generator.
-
-    check_minors recomputes everything as signed minors of X + A^hom and
-    compares, term by term."""
+def psi_bar(A: ParamMatrix) -> HomIdealBasis:
+    """The projective parametrization: homogenize each affine generator."""
     cell = A.cell
     if not cell.lex_segment():
         raise NotLexSegment(f"projective parametrization requires a lex-segment cell, got {cell}")
-    affine = psi(A)
-    Fs = tuple(homogenize(f) for f in affine.polys)
-    if check_minors:
-        t = cell.t
-        minors = maximal_minors(hom_hb_matrix(A), A.field, 3)
-        for i in range(t + 1):
-            direct = minors[i] if (t - i) % 2 == 0 else -minors[i]
-            if direct != Fs[i]:
-                from .errors import InternalError
-
-                raise InternalError(
-                    f"three-variable minor {i} disagrees with the homogenized generator"
-                )
-    return HomIdealBasis(cell, Fs)
+    return HomIdealBasis(cell, tuple(homogenize(f) for f in psi(A).polys))
 
 
 def z_regular(polys) -> bool:

@@ -129,7 +129,7 @@ def test_criterion_5_bijectivity(forward_samples):
         failures = 0
         for cell, A in forward_samples:
             basis = psi(A)
-            if canonicalize(list(basis.polys), cell, verify=False) != A:
+            if canonicalize(list(basis.polys), cell) != A:
                 failures += 1
             if canonical_matrix(basis) != A:
                 failures += 1

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from grobcell import GF, QQ, canonicalize, make_cell, psi, sample, zero_matrix
 from grobcell.canonical import (
+    _find_violation,
+    _strip_x_t_tails,
     canonical_matrix,
     extract_syzygies,
     grade_bound,
@@ -17,6 +19,7 @@ from grobcell.errors import InternalReductionFailure, MoveNotApplicable, WrongIn
 from grobcell.groebner import buchberger, divide, initial_ideal
 from grobcell.hilburch import (
     IdealBasis,
+    hb_matrix,
     maximal_minors,
     param_matrix_from_strings,
     verify_groebner_property,
@@ -48,7 +51,33 @@ def example_basis(cell):
 
 
 def matrix_strings(M):
-    return tuple(tuple(str(e) for e in row) for row in M.rows)
+    """X + A of a working matrix, entry by entry as strings."""
+    return tuple(tuple(str(e) for e in row) for row in hb_matrix(M))
+
+
+def signed_minors(M):
+    t = M.cell.t
+    minors = maximal_minors(hb_matrix(M), M.field, 2)
+    return [m if (t - i) % 2 == 0 else -m for i, m in enumerate(minors)]
+
+
+def perturbed_basis(cell, field, seed):
+    """psi of a sampled matrix with f_i += c*mu*f_j, mu*lm(f_j) < lm(f_i):
+    the ideal and every leading term stay, so the basis stays certified but
+    is no psi output and its raw matrix needs reduction moves."""
+    rng = random.Random(seed)
+    fs = list(psi(sample(cell, field, seed)).polys)
+    for _ in range(4):
+        i, j = rng.randrange(len(fs)), rng.randrange(len(fs))
+        lm_i, lm_j = fs[i].leading_monomial(), fs[j].leading_monomial()
+        mus = [
+            mu for mu in itertools.product(range(3), range(4))
+            if drl_key(mono_mul(mu, lm_j)) < drl_key(lm_i)
+        ]
+        if mus:
+            c = field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+            fs[i] = fs[i] + fs[j].mul_term(rng.choice(mus), c)
+    return IdealBasis(cell, tuple(fs))
 
 
 def test_prepare_basis_worked_example(ex3_cell, ex3_gens):
@@ -93,13 +122,13 @@ def test_extract_syzygies_worked_example(ex3_cell):
 def test_extract_syzygies_recovers_admissible_matrix(ex3_cell):
     A = param_matrix_from_strings(ex3_cell, QQ, EX3_A_ROWS)
     M = extract_syzygies(psi(A))
-    assert tuple(tuple(M.a_rows()[r][c] for c in range(3)) for r in range(4)) == A.entries
+    assert M.entries == A.entries
 
 
 def test_extract_syzygies_monomial_basis(ex1_cell):
     basis = psi(zero_matrix(ex1_cell, QQ))
     M = extract_syzygies(basis)
-    assert all(a.is_zero() for row in M.a_rows() for a in row)
+    assert all(a.is_zero() for row in M.entries for a in row)
 
 
 def test_reduction_move_worked_example_sequence(ex3_cell):
@@ -118,10 +147,7 @@ def test_reduction_move_preserves_ideal(ex3_cell):
     M = extract_syzygies(example_basis(ex3_cell))
     for step in ((3, 2), (1, 3), (2, 3)):
         M = reduction_move(M, *step)
-        minors = maximal_minors(M.rows, QQ, 2)
-        t = ex3_cell.t
-        polys = [m if (t - i) % 2 == 0 else -m for i, m in enumerate(minors)]
-        assert buchberger(polys).elements == reference
+        assert buchberger(signed_minors(M)).elements == reference
 
 
 def test_reduction_move_not_applicable(ex3_cell):
@@ -136,10 +162,10 @@ def test_reduction_move_not_applicable(ex3_cell):
 def test_grade_bounds_hold_along_move_path(ex3_cell):
     M = extract_syzygies(example_basis(ex3_cell))
     for step in ((3, 2), (1, 3), (2, 3)):
-        M = reduction_move(M, *step)  # validate() inside asserts the bounds
+        M = reduction_move(M, *step)  # raises itself on a broken raw bound
         for i in range(1, ex3_cell.t + 2):
             for j in range(1, ex3_cell.t + 1):
-                a = M.a_entry(i, j)
+                a = M.entry(i, j)
                 assert a.degree() <= grade_bound(ex3_cell, i, j)
 
 
@@ -173,7 +199,7 @@ def test_round_trip_random():
     for k in range(25):
         cell = rng.choice(cells)
         A = sample(cell, F, seed=5000 + k)
-        assert canonicalize(list(psi(A).polys), cell, verify=False) == A
+        assert canonicalize(list(psi(A).polys), cell) == A
 
 
 def test_non_lex_segment_idempotent_through_ideal():
@@ -182,7 +208,7 @@ def test_non_lex_segment_idempotent_through_ideal():
     cell = make_cell([0, 2, 2, 5])
     A = sample(cell, GF(10007), seed=321)
     fs = list(psi(A).polys)
-    A2 = canonicalize(fs, cell)  # verify=True checks mutual reduction
+    A2 = canonicalize(fs, cell)  # checks mutual reduction itself
     fs2 = list(psi(A2).polys)
     gb1 = buchberger(fs)
     for g in fs2:
@@ -208,7 +234,7 @@ def test_round_trip_larger_cells():
     for m, seed in (([0, 1, 2, 3, 4, 5, 6, 7], 5), ([0, 2, 4, 6, 8, 10], 6)):
         cell = make_cell(m)
         A = sample(cell, F, seed=seed)
-        assert canonicalize(list(psi(A).polys), cell, verify=False) == A
+        assert canonicalize(list(psi(A).polys), cell) == A
 
 
 def test_canonicalize_points_on_a_line():
@@ -259,7 +285,7 @@ def test_canonicalize_messy_regenerating_sets():
                 continue
             mult = parse_poly(f"{rng.randrange(1, 10007)}*y+{rng.randrange(10007)}", F, 2)
             mixed[i] = mixed[i] + mult * mixed[j]
-        assert canonicalize(mixed, cell, verify=False) == A
+        assert canonicalize(mixed, cell) == A
 
 
 def test_canonicalize_from_scrambled_generators(ex3_gens, ex3_cell):
@@ -301,7 +327,7 @@ def test_canonical_matrix_of_psi_equals_buchberger_route(cell, field, seed):
         A = with_fractions(A, random.Random(seed))
     basis = psi(A)
     assert canonical_matrix(basis) == A
-    assert canonicalize(list(basis.polys), cell, verify=False) == A
+    assert canonicalize(list(basis.polys), cell) == A
 
 
 @settings(max_examples=30, deadline=None)
@@ -311,20 +337,30 @@ def test_canonical_matrix_of_psi_equals_buchberger_route(cell, field, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_canonical_matrix_with_moves_equals_buchberger_route(cell, field, seed):
-    # f_i += c*mu*f_j with mu*lm(f_j) < lm(f_i) keeps the ideal and every
-    # leading term, so the basis stays certified but is no psi output
-    rng = random.Random(seed)
-    fs = list(psi(sample(cell, field, seed)).polys)
-    for _ in range(4):
-        i, j = rng.randrange(len(fs)), rng.randrange(len(fs))
-        lm_i, lm_j = fs[i].leading_monomial(), fs[j].leading_monomial()
-        mus = [
-            mu for mu in itertools.product(range(3), range(4))
-            if drl_key(mono_mul(mu, lm_j)) < drl_key(lm_i)
-        ]
-        if mus:
-            c = field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
-            fs[i] = fs[i] + fs[j].mul_term(rng.choice(mus), c)
-    basis = IdealBasis(cell, tuple(fs))
+    basis = perturbed_basis(cell, field, seed)
     assert verify_groebner_property(basis)
-    assert canonical_matrix(basis) == canonicalize(fs, cell, verify=False)
+    assert canonical_matrix(basis) == canonicalize(list(basis.polys), cell)
+
+
+def test_reduction_moves_preserve_ideal_random():
+    # every move on the canonicalization path of seeded perturbed bases
+    # keeps the ideal of the signed maximal minors of X + A, and the loop
+    # reaches all four branches of the univariate update: above the
+    # diagonal with j < t and j = t, below it with j = 1 and j >= 2
+    field = GF(101)
+    rng = random.Random(4)
+    branches = set()
+    for _ in range(40):
+        t = rng.randint(2, 5)
+        steps = [rng.randint(1, 3)] + [rng.randint(0, 3) for _ in range(t - 1)]
+        cell = make_cell(list(itertools.accumulate([0] + steps)))
+        basis = perturbed_basis(cell, field, rng.randrange(2**32))
+        reference = buchberger(list(basis.polys)).elements
+        M = extract_syzygies(_strip_x_t_tails(basis))
+        assert buchberger(signed_minors(M)).elements == reference
+        while (slot := _find_violation(M)) is not None:
+            i, j = slot
+            branches.add((i < j, j == (t if i < j else 1)))
+            M = reduction_move(M, i, j)
+            assert buchberger(signed_minors(M)).elements == reference
+    assert branches == {(True, True), (True, False), (False, True), (False, False)}

@@ -122,6 +122,46 @@ def test_sample_trials_report_failed_certificate(monkeypatch):
     )
 
 
+def test_sample_rejects_negative_trials():
+    code, out, err = invoke(["sample", "--m", "0,2,3", "--seed", "3", "--trials", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: --trials must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('{"m": [0, 2], "entries": 5}', "'entries' must be a list of rows"),
+        ("[1, 2]", "a parameter matrix must be a JSON object"),
+        ('{"m": [0, 2], "entries": [["0"], [3]]}', "'entries' must be a list of rows"),
+        (
+            '{"m": [0, 2], "entries": [["0"], ["0"]], "field": "qq"}',
+            "'field' must be a JSON object",
+        ),
+        ('{"m": "0,2", "entries": [["0"], ["0"]]}', "'m' must be a list of integers"),
+        (
+            '{"m": [0, 2], "entries": [["0"], ["0"]],'
+            ' "field": {"kind": "prime_field", "prime": [7]}}',
+            "'prime' must be an integer",
+        ),
+    ],
+    ids=[
+        "entries-not-list",
+        "not-object",
+        "entry-not-string",
+        "field-not-object",
+        "m-string",
+        "prime-not-int",
+    ],
+)
+def test_malformed_matrix_json(tmp_path, document, message):
+    path = tmp_path / "A.json"
+    path.write_text(document)
+    code, out, err = invoke(["psi", "--matrix", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message) and "Traceback" not in err
+
+
 def test_psi_homogeneous(ex3_matrix_file):
     code, out, _ = invoke(["psi", "--matrix", ex3_matrix_file, "--homogeneous"])
     assert code == 0

@@ -6,8 +6,8 @@ from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
 from grobcell.cell import enumerate_lex_segment_cells
 from grobcell.errors import NotGroebner, NotHomogeneous, NotLexSegment
 from grobcell.groebner import buchberger, divide, initial_ideal
-from grobcell.hilburch import param_matrix_from_strings
-from grobcell.poly import dehomogenize, homogenize, parse_poly
+from grobcell.hilburch import maximal_minors, param_matrix_from_strings
+from grobcell.poly import Poly, dehomogenize, homogenize, parse_poly
 from grobcell.projective import (
     homogenize_matrix,
     ideal_dehomogenize,
@@ -21,6 +21,18 @@ from conftest import EX3_A_ROWS, with_fractions
 
 def P3(s, field=QQ):
     return parse_poly(s, field, 3)
+
+
+def hom_minors(A):
+    """The signed maximal minors of X + A^hom over K[x, y, z]."""
+    cell, field = A.cell, A.field
+    t = cell.t
+    rows = [list(r) for r in homogenize_matrix(A)]
+    for i in range(1, t + 1):
+        rows[i - 1][i - 1] = rows[i - 1][i - 1] + Poly.monomial(field, 3, (0, cell.d_of(i), 0))
+        rows[i][i - 1] = rows[i][i - 1] - Poly.monomial(field, 3, (1, 0, 0))
+    minors = maximal_minors(rows, field, 3)
+    return [m if (t - i) % 2 == 0 else -m for i, m in enumerate(minors)]
 
 
 def test_homogenize_matrix_zero(ex1_cell):
@@ -64,7 +76,8 @@ def test_psi_bar_zero_matrix(ex1_cell):
 
 def test_psi_bar_worked_example(ex3_cell):
     A = param_matrix_from_strings(ex3_cell, QQ, EX3_A_ROWS)
-    FB = psi_bar(A, check_minors=True)
+    FB = psi_bar(A)
+    assert list(FB.polys) == hom_minors(A)
     assert str(FB.polys[0]) == (
         "x^3-x^2*y-2*x*y^2+2*y^3-2*x^2*z+x*y*z+y^2*z-x*z^2+2*y*z^2-2*z^3"
     )
@@ -81,7 +94,9 @@ def test_psi_bar_requires_lex_segment():
 
 def check_psi_bar(A, check_minors):
     cell = A.cell
-    FB = psi_bar(A, check_minors=check_minors)
+    FB = psi_bar(A)
+    if check_minors:
+        assert list(FB.polys) == hom_minors(A)
     assert all(p.is_homogeneous() for p in FB.polys)
     assert z_regular(list(FB.polys))
     gb = buchberger(list(FB.polys))
