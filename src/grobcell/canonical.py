@@ -45,13 +45,6 @@ def grade_bound(cell: MonomialCell, i: int, j: int) -> int:
     return u - 1 if i <= j else u
 
 
-def prepare_basis(gens, cell: MonomialCell) -> IdealBasis:
-    """Groebner-reduce arbitrary generators and normalize to f_0..f_t."""
-    gb = buchberger(gens)
-    _check_initial_ideal(gb, cell)
-    return _strip_x_t_tails(_prepare_from_gb(gb, cell))
-
-
 def _check_initial_ideal(gb: GroebnerBasis, cell: MonomialCell):
     got = set(initial_ideal(gb))
     want = set(cell.minimal_generators())
@@ -217,6 +210,12 @@ def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
     The result is re-expanded through its minors and both generating sets
     are reduced against each other before it is returned.
     """
+    return _canonicalize(gens, cell)[0]
+
+
+def _canonicalize(gens, cell: MonomialCell = None) -> tuple:
+    """canonicalize(gens, cell) together with psi(A), the basis that the
+    same-ideal check expanded, so a caller that prints it expands it once."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -226,8 +225,7 @@ def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
     else:
         _check_initial_ideal(gb, cell)
     A = canonical_matrix(_prepare_from_gb(gb, cell))
-    _verify_same_ideal(A, gb)
-    return A
+    return A, _verify_same_ideal(A, gb)
 
 
 def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
@@ -261,7 +259,8 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
     return check_membership(cell, M.entries, M.field)
 
 
-def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis):
+def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis) -> IdealBasis:
+    """Check that psi(A) is a Groebner basis of the ideal of gb; return it."""
     regenerated = psi(A)
     if not verify_groebner_property(regenerated):
         raise InternalError("regenerated basis lost the Groebner property")
@@ -271,3 +270,4 @@ def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis):
     for f in regenerated.polys:
         if not divide(f, gb.elements).remainder.is_zero():
             raise InternalError("canonical matrix presents a different ideal")
+    return regenerated

@@ -15,7 +15,7 @@ import sys
 
 from . import betti as betti_mod
 from . import cell as cell_mod
-from .canonical import canonical_matrix, canonicalize
+from .canonical import _canonicalize, canonical_matrix
 from .errors import BadMVector, InternalError, ValidationError
 from .field import GF, QQ
 from .hilburch import (
@@ -256,8 +256,8 @@ def _cmd_canonicalize(args, out):
     field = _field_from_args(args) or QQ
     gens = _load_gens(args.gens, field)
     cell = _parse_m(args.m) if args.m is not None else None
-    A = canonicalize(gens, cell)
-    regenerated = [format_poly(p) for p in psi(A).polys]
+    A, basis = _canonicalize(gens, cell)
+    regenerated = [format_poly(p) for p in basis.polys]
     report = {"matrix": param_matrix_to_json(A), "generators": regenerated}
     if args.json:
         _emit_json(out, report)

@@ -5,11 +5,15 @@ generating sets.
 Everything here is deliberately plain: the normal selection strategy plus
 the coprimality and chain criteria, nothing else.  This module doubles as
 the independent oracle for the rest of the package, so auditability beats
-cleverness.
+cleverness.  Two heaps only spare rescans: Buchberger computes each pair's
+key once, when the pair is created, and pops pairs from a heap in the order
+the normal strategy gives; division draws the next term to treat from a
+heap of the monomials in the working polynomial.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import DivisionByZero, NotHomogeneous
@@ -41,12 +45,19 @@ def divide(f: Poly, divisors) -> DivisionResult:
         f._check_compatible(g)
     lts = [(g.leading_monomial(), g.leading_coeff()) for g in divisors]
 
+    # Min-heap on (-deg, reversed tail exponents), i.e. DRL-descending.  A
+    # monomial is pushed when it enters `work`; an entry whose monomial has
+    # since cancelled out of `work` is stale and skipped.
     work = dict(f.terms)
+    heap = [((-sum(m),) + m[:0:-1], m) for m in work]
+    heapq.heapify(heap)
     quots = [dict() for _ in divisors]
     rem: dict = {}
-    while work:
-        mono = max(work, key=drl_key)
-        coeff = work[mono]
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.get(mono)
+        if coeff is None:
+            continue
         for k, (gm, gc) in enumerate(lts):
             if mono_divides(gm, mono):
                 qm = mono_div(mono, gm)
@@ -59,6 +70,8 @@ def divide(f: Poly, divisors) -> DivisionResult:
                     prev = work.get(mm)
                     nc = -(qc * c2) if prev is None else prev - qc * c2
                     if nc:
+                        if prev is None:
+                            heapq.heappush(heap, ((-sum(mm),) + mm[:0:-1], mm))
                         work[mm] = nc
                     else:
                         work.pop(mm, None)
@@ -104,15 +117,20 @@ def buchberger(gens) -> GroebnerBasis:
     for g in G:
         G[0]._check_compatible(g)
 
-    def pair_key(i, j):
-        lcm = mono_lcm(G[i].leading_monomial(), G[j].leading_monomial())
-        return (sum(lcm), drl_key(lcm), i, j)
+    # Normal strategy: the pair with the DRL-smallest lcm first, ties by
+    # (i, j).  Leading monomials never change, so each key is final.
+    pending: list = []
 
-    pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    def add_pairs(new):
+        for k in range(new):
+            lcm = mono_lcm(G[k].leading_monomial(), G[new].leading_monomial())
+            heapq.heappush(pending, (drl_key(lcm), k, new))
+
+    for new in range(1, len(G)):
+        add_pairs(new)
     treated: set = set()
     while pending:
-        i, j = min(pending, key=lambda p: pair_key(*p))
-        pending.discard((i, j))
+        _, i, j = heapq.heappop(pending)
         treated.add((i, j))
         li, lj = G[i].leading_monomial(), G[j].leading_monomial()
         lcm = mono_lcm(li, lj)
@@ -133,8 +151,7 @@ def buchberger(gens) -> GroebnerBasis:
         r = divide(s_polynomial(G[i], G[j]), G).remainder
         if not r.is_zero():
             G.append(r.monic())
-            new = len(G) - 1
-            pending.update((k, new) for k in range(new))
+            add_pairs(len(G) - 1)
 
     # Minimalize: keep only elements whose leading monomial no other kept
     # leading monomial divides.

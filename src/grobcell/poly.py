@@ -4,7 +4,8 @@ Monomials are exponent tuples ordered degree-reverse-lexicographically with
 x > y > z: higher total degree wins, and ties go to the monomial with the
 smaller exponent in the last variable, recursively.  A polynomial stores a
 map from monomials to nonzero coefficients plus the field those
-coefficients live in; values are immutable once built.
+coefficients live in.  Values are immutable once built, which is what
+lets a polynomial compute its leading monomial on first use and keep it.
 
 The one-variable ring is K[y] (entries of parameter matrices), the
 two-variable ring K[x, y] and the three-variable ring K[x, y, z].
@@ -43,14 +44,16 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
 class Poly:
     """A sparse polynomial over a fixed field in 1, 2 or 3 variables."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_lm")
 
     def __init__(self, field, nvars: int, terms: dict):
         # Internal constructor: `terms` must already be normalized
-        # (no zero coefficients, keys of length `nvars`).
+        # (no zero coefficients, keys of length `nvars`) and is never
+        # written to afterwards.
         self.field = field
         self.nvars = nvars
         self.terms = terms
+        self._lm = None  # leading monomial, cached by leading_monomial()
 
     @classmethod
     def zero(cls, field, nvars: int) -> "Poly":
@@ -173,9 +176,12 @@ class Poly:
     # -- term access -----------------------------------------------------
 
     def leading_monomial(self) -> tuple:
-        if not self.terms:
-            raise ZeroPolynomial("the zero polynomial has no leading term")
-        return max(self.terms, key=drl_key)
+        lm = self._lm
+        if lm is None:
+            if not self.terms:
+                raise ZeroPolynomial("the zero polynomial has no leading term")
+            lm = self._lm = max(self.terms, key=drl_key)
+        return lm
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]

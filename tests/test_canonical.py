@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from grobcell import GF, QQ, canonicalize, make_cell, psi, sample, zero_matrix
 from grobcell.canonical import (
+    _check_initial_ideal,
     _find_violation,
+    _prepare_from_gb,
     _strip_x_t_tails,
     canonical_matrix,
     extract_syzygies,
     grade_bound,
-    prepare_basis,
     reduction_move,
 )
 from grobcell.errors import InternalReductionFailure, MoveNotApplicable, WrongInitialIdeal
@@ -78,6 +79,14 @@ def perturbed_basis(cell, field, seed):
             c = field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
             fs[i] = fs[i] + fs[j].mul_term(rng.choice(mus), c)
     return IdealBasis(cell, tuple(fs))
+
+
+def prepare_basis(gens, cell):
+    """Groebner-reduce arbitrary generators and normalize them to f_0..f_t,
+    the steps canonicalize takes before canonical_matrix extracts A."""
+    gb = buchberger(gens)
+    _check_initial_ideal(gb, cell)
+    return _strip_x_t_tails(_prepare_from_gb(gb, cell))
 
 
 def test_prepare_basis_worked_example(ex3_cell, ex3_gens):

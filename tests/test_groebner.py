@@ -1,8 +1,15 @@
+import heapq
+import itertools
 import random
+import types
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grobcell import GF, QQ, make_cell, psi, zero_matrix
+from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
+import grobcell.groebner as groebner_mod
 from grobcell.errors import NotHomogeneous
 from grobcell.groebner import (
     buchberger,
@@ -13,9 +20,17 @@ from grobcell.groebner import (
     minimalize_homogeneous,
     s_polynomial,
 )
-from grobcell.poly import Poly, homogenize, mono_divides, parse_poly
+from grobcell.poly import (
+    Poly,
+    drl_key,
+    homogenize,
+    mono_div,
+    mono_divides,
+    mono_mul,
+    parse_poly,
+)
 
-from conftest import EX3_GENS, M_EX1, M_EX3
+from conftest import EX3_GENS, M_EX1, M_EX3, with_fractions
 
 
 def P(s, field=QQ):
@@ -67,9 +82,95 @@ def test_divide_exactness_random():
 
 
 def _drl_greater(u, v):
-    from grobcell.poly import drl_key
-
     return drl_key(u) > drl_key(v)
+
+
+def rescanning_divide(f, divisors):
+    """Reference division: rescan the working polynomial for its DRL-largest
+    term at every step; ties go to the leftmost divisor."""
+    lts = [(g.leading_monomial(), g.leading_coeff()) for g in divisors]
+    work = dict(f.terms)
+    quots = [dict() for _ in divisors]
+    rem = {}
+    while work:
+        mono = max(work, key=drl_key)
+        coeff = work[mono]
+        for k, (gm, gc) in enumerate(lts):
+            if mono_divides(gm, mono):
+                qm = mono_div(mono, gm)
+                qc = coeff / gc
+                prev = quots[k].get(qm)
+                quots[k][qm] = qc if prev is None else prev + qc
+                for m2, c2 in divisors[k].terms.items():
+                    mm = mono_mul(qm, m2)
+                    prev = work.get(mm)
+                    nc = -(qc * c2) if prev is None else prev - qc * c2
+                    if nc:
+                        work[mm] = nc
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            rem[mono] = coeff
+            del work[mono]
+    return (
+        tuple(Poly(f.field, f.nvars, q) for q in quots),
+        Poly(f.field, f.nvars, rem),
+    )
+
+
+@st.composite
+def division_cases(draw):
+    """Divisors and a dividend r + sum(h_k * g_k) over few low-degree
+    monomials, so that terms of the working polynomial often cancel and
+    later come back."""
+    field = draw(st.sampled_from([QQ, GF(101)]))
+    coeff = st.sampled_from(
+        [Fraction(-3, 2), -1, Fraction(1, 3), 1, 2] if field is QQ else [1, 2, 50, 99, 100]
+    )
+    nvars = draw(st.integers(2, 3))
+    mono = st.tuples(*[st.integers(0, 2)] * nvars)
+    poly = st.lists(st.tuples(mono, coeff), min_size=1, max_size=4).map(
+        lambda items: Poly.from_terms(field, nvars, items)
+    )
+    divisors = [g for g in draw(st.lists(poly, min_size=1, max_size=3)) if g]
+    if not divisors:
+        divisors = [Poly.monomial(field, nvars, draw(mono))]
+    f = draw(poly)
+    for g in divisors:
+        f = f + draw(poly) * g
+    return f, divisors
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_cases())
+def test_divide_matches_rescanning_division(case):
+    f, divisors = case
+    res = divide(f, divisors)
+    quotients, remainder = rescanning_divide(f, divisors)
+    assert res.quotients == quotients
+    assert res.remainder == remainder
+
+
+def test_divide_skips_stale_heap_entries(monkeypatch):
+    # x^3 + x*y^2 by x^2 + x*y + y^2: the first step cancels x*y^2, the
+    # second (on -x^2*y) brings it back, so it sits in the heap twice.
+    pushed = []
+
+    def heappush(heap, item):
+        pushed.append(item[1])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(
+        groebner_mod,
+        "heapq",
+        types.SimpleNamespace(heapify=heapq.heapify, heappop=heapq.heappop, heappush=heappush),
+    )
+    f, g = P("x^3+x*y^2"), P("x^2+x*y+y^2")
+    res = divide(f, [g])
+    assert (1, 2) in f.terms and pushed.count((1, 2)) == 1
+    assert (res.quotients, res.remainder) == rescanning_divide(f, [g])
+    assert res.quotients == (P("x-y"),) and res.remainder == P("x*y^2+y^3")
 
 
 def test_s_polynomial():
@@ -192,3 +293,64 @@ def test_zero_matrix_psi_is_staircase():
     basis = psi(zero_matrix(cell, QQ))
     assert [f.leading_monomial() for f in basis.polys] == [(3, 0), (2, 2), (1, 3), (0, 5)]
     assert all(len(f.terms) == 1 for f in basis.polys)
+
+
+def recombine(fs, rng):
+    """L*U*fs with L unit lower- and U unit upper-triangular scalar matrices
+    (off-diagonal entries in {-2, -1, 1, 2}): the same ideal, generators
+    that are no longer a Groebner basis."""
+    n = len(fs)
+    draw = lambda: rng.choice((-2, -1, 1, 2))
+    L = [[1 if i == j else (draw() if j < i else 0) for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else (draw() if j > i else 0) for j in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        g = Poly.zero(fs[0].field, 2)
+        for j in range(n):
+            c = sum(L[i][k] * U[k][j] for k in range(n))
+            if c:
+                g = g + fs[j].scale(c)
+        out.append(g)
+    return out
+
+
+def test_buchberger_matches_sympy_groebner():
+    """A second oracle that shares no code with this package: sympy's
+    grevlex reduced basis, compared monic (and mod p over GF(p))."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(f):
+        scalar = (
+            (lambda c: sympy.Rational(c.numerator, c.denominator))
+            if f.field is QQ else (lambda c: c.v)
+        )
+        return sympy.Add(*[scalar(c) * x**a * y**b for (a, b), c in f.terms.items()])
+
+    rng = random.Random(4)
+    kinds = set()
+    for k in range(16):
+        field = QQ if k % 2 == 0 else GF(10007)
+        t = rng.randint(1, 4)
+        steps = [rng.randint(1, 3)] + [rng.randint(0, 3) for _ in range(t - 1)]
+        cell = make_cell(list(itertools.accumulate([0] + steps)))
+        kinds.add((field is QQ, cell.lex_segment()))
+        A = sample(cell, field, seed=rng.randrange(2**32))
+        if field is QQ:
+            A = with_fractions(A, rng)
+        gens = recombine(list(psi(A).polys), rng)
+        options = {"domain": "QQ"} if field is QQ else {"modulus": field.p}
+        theirs = sympy.groebner([to_sympy(g) for g in gens], x, y, order="grevlex", **options)
+        want = sorted(
+            (
+                Poly.from_terms(
+                    field, 2,
+                    [(m, Fraction(int(c.p), int(c.q))) for m, c in sympy.Poly(e, x, y).terms()],
+                ).monic()
+                for e in theirs.exprs
+            ),
+            key=lambda g: drl_key(g.leading_monomial()),
+            reverse=True,
+        )
+        assert buchberger(gens).elements == tuple(want), (cell.m, field)
+    assert kinds == {(q, lex) for q in (True, False) for lex in (True, False)}

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grobcell import GF, QQ
 from grobcell.errors import FieldMismatch, ZeroPolynomial
@@ -40,6 +42,51 @@ def test_leading_term_of_worked_example():
     f0 = P(EX3_GENS[0])
     assert f0.leading_monomial() == (3, 0)
     assert f0.leading_coeff() == QQ.one
+
+
+def check_leading_monomial(f):
+    """Twice, so the second call reads the cached value."""
+    for _ in range(2):
+        if f.terms:
+            assert f.leading_monomial() == max(f.terms, key=drl_key)
+        else:
+            with pytest.raises(ZeroPolynomial):
+                f.leading_monomial()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_leading_monomial_matches_rescan(data):
+    field = data.draw(st.sampled_from([QQ, GF(101)]))
+    nvars = data.draw(st.integers(1, 3))
+    coeff = (
+        st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        if field is QQ
+        else st.integers(0, 100)
+    )
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    poly = st.lists(st.tuples(mono, coeff), max_size=6).map(
+        lambda items: Poly.from_terms(field, nvars, items)
+    )
+    f, g = data.draw(poly), data.draw(poly)
+    m, c = data.draw(mono), field.coerce(data.draw(coeff))
+    # operands first, so a result that wrongly inherited a cached value shows
+    for p in (f, g):
+        check_leading_monomial(p)
+    results = [
+        f + g, f - g, f - f, f * g, -f,
+        f.mul_term(m, c), f.scale(c), f.scale(0),
+        f.embed(3), Poly.zero(field, nvars),
+        parse_poly(format_poly(f), field, nvars),
+    ]
+    if f:
+        results.append(f.monic())
+    if nvars == 2 and f:
+        results.append(homogenize(f))
+    if nvars == 3:
+        results.append(dehomogenize(f))
+    for r in results:
+        check_leading_monomial(r)
 
 
 def test_drl_tie_break():
