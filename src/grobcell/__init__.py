@@ -22,7 +22,6 @@ from .cell import (
     degree_matrix,
     dimension,
     dimension_bounds,
-    enumerate_lex_segment_cells,
     hilbert_function,
     lex_betti,
     make_cell,
@@ -36,8 +35,6 @@ from .groebner import (
     buchberger,
     divide,
     initial_ideal,
-    is_groebner,
-    minimalize_homogeneous,
     s_polynomial,
 )
 from .hilburch import (
@@ -54,14 +51,7 @@ from .hilburch import (
     zero_matrix,
 )
 from .poly import Poly, dehomogenize, format_poly, homogenize, parse_poly, uni_divmod, variable
-from .projective import (
-    HomIdealBasis,
-    homogenize_matrix,
-    ideal_dehomogenize,
-    ideal_homogenize,
-    psi_bar,
-    z_regular,
-)
+from .projective import HomIdealBasis, psi_bar
 
 __version__ = "0.1.0"
 
@@ -83,7 +73,6 @@ __all__ = [
     "degree_matrix",
     "dimension",
     "dimension_bounds",
-    "enumerate_lex_segment_cells",
     "hilbert_function",
     "lex_betti",
     "make_cell",
@@ -100,8 +89,6 @@ __all__ = [
     "buchberger",
     "divide",
     "initial_ideal",
-    "is_groebner",
-    "minimalize_homogeneous",
     "s_polynomial",
     "IdealBasis",
     "ParamMatrix",
@@ -122,9 +109,5 @@ __all__ = [
     "uni_divmod",
     "variable",
     "HomIdealBasis",
-    "homogenize_matrix",
-    "ideal_dehomogenize",
-    "ideal_homogenize",
     "psi_bar",
-    "z_regular",
 ]

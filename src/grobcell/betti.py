@@ -26,9 +26,6 @@ class ResolutionDegrees:
     p: tuple
     q: tuple
 
-    def p_degree(self, i: int) -> int:
-        return self.p[i]
-
     def q_degree(self, col: int) -> int:
         return self.q[col - 1]
 
@@ -106,7 +103,6 @@ class BettiTable:
     beta0: dict
     beta1: dict
     baseline: dict
-    ranks: dict
 
     def codim_total(self) -> int:
         return sum(self.beta1.get(j, 0) * u for j, u in self.beta0.items())
@@ -124,19 +120,16 @@ def betti_numbers(A: ParamMatrix) -> BettiTable:
     rd = resolution_degrees(cell)
     beta0: dict = {}
     beta1: dict = {}
-    ranks: dict = {}
     for j in sorted(set(rd.p) | set(rd.q)):
         w, v = index_sets(cell, j)
         r = matrix_rank(block_matrix(A, j), field)
-        if r:
-            ranks[j] = r
         b0 = len(w) - r
         b1 = len(v) - r
         if b0:
             beta0[j] = b0
         if b1:
             beta1[j] = b1
-    return BettiTable(beta0, beta1, lex_betti(cell), ranks)
+    return BettiTable(beta0, beta1, lex_betti(cell))
 
 
 def strata_codim(cell: MonomialCell, j: int, u: int) -> int:

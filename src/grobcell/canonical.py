@@ -5,10 +5,11 @@ Two entry points share one back end.  `canonicalize` takes arbitrary
 generators: it computes the reduced Groebner basis, checks or infers the
 cell from its initial ideal and picks the elements f_0..f_t with leading
 terms x^(t-i) y^(m_i).  `canonical_matrix` takes such a basis directly (for
-example psi(A), once certified): it strips x^t from the tails of f_1..f_t,
-reads a raw parameter matrix A off the reductions of the t critical
-S-polynomials, then shrinks oversized entries with paired row/column
-reduction moves until every slot satisfies the cell's degree bounds.
+example psi(A), which it certifies on the way): it strips x^t from the
+tails of f_1..f_t, reads a raw parameter matrix A off the reductions of the
+t critical S-polynomials, then shrinks oversized entries with paired
+row/column reduction moves until every slot satisfies the cell's degree
+bounds.
 
 The working matrix holds the K[y] entries of A alone, in a ParamMatrix
 that is admissible only once check_membership passes at the end; X stays
@@ -111,7 +112,7 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
         col = []
         for j, q in enumerate(res.quotients):
             if any(m[0] != 0 for m in q.terms):
-                raise InternalReductionFailure(
+                raise InternalError(
                     f"syzygy quotient on f_{j} is not univariate: {q}"
                 )
             col.append(-Poly(field, 1, {(m[1],): c for m, c in q.terms.items()}))
@@ -231,10 +232,14 @@ def _canonicalize(gens, cell: MonomialCell = None) -> tuple:
 def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
     """Return the admissible parameter matrix A whose maximal minors
     generate the ideal of `basis`, a Groebner basis f_0..f_t with leading
-    terms x^(t-i) y^(m_i), monic, such as a certified psi(A).
+    terms x^(t-i) y^(m_i), monic, such as psi(A).
 
-    Raises InternalReductionFailure when a critical S-polynomial does not
-    reduce to zero, that is when the basis is not a Groebner basis.
+    Raises InternalReductionFailure exactly when a critical S-polynomial
+    does not reduce to zero, that is when the basis is not a Groebner basis,
+    so on psi(A) this call is also the Groebner certificate.  That relies on
+    the x^t strip changing nothing there: for i >= 1, f_i deletes row i+1 of
+    X + A, so it can use at most t-1 of the subdiagonal -x entries, and no
+    term of f_i has x-degree t.
     """
     cell = basis.cell
     M = extract_syzygies(_strip_x_t_tails(basis))

@@ -214,25 +214,6 @@ def below_diagonal_stats(cell: MonomialCell) -> tuple:
     return deg1, zeros
 
 
-def enumerate_lex_segment_cells(max_colength: int) -> list:
-    """Every lex-segment cell with colength <= max_colength, in a fixed
-    lexicographic discovery order."""
-    out = []
-
-    def rec(prefix, total):
-        if len(prefix) >= 2:
-            out.append(MonomialCell(tuple(prefix)))
-        nxt = prefix[-1] + 1
-        while total + nxt <= max_colength:
-            prefix.append(nxt)
-            rec(prefix, total + nxt)
-            prefix.pop()
-            nxt += 1
-
-    rec([0], 0)
-    return out
-
-
 def cell_from_minimal_generators(monos) -> MonomialCell:
     """Recover the cell whose minimal monomial generators are given, as
     (x-exp, y-exp) pairs.  Fails when the generators are not Artinian."""

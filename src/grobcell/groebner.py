@@ -1,6 +1,5 @@
 """Division with quotient tracking, S-polynomials, Buchberger's algorithm,
-reduced Groebner bases, initial ideals and minimalization of homogeneous
-generating sets.
+reduced Groebner bases and initial ideals.
 
 Everything here is deliberately plain: the normal selection strategy plus
 the coprimality and chain criteria, nothing else.  This module doubles as
@@ -16,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, NotHomogeneous
+from .errors import DivisionByZero
 from .poly import (
     Poly,
     drl_key,
@@ -177,19 +176,6 @@ def buchberger(gens) -> GroebnerBasis:
     return GroebnerBasis(tuple(minimal), field)
 
 
-def is_groebner(polys) -> bool:
-    """Check every S-polynomial reduces to zero (no shortcuts: this is the
-    oracle-grade definition)."""
-    G = [g for g in polys if not g.is_zero()]
-    if not G:
-        raise ValueError("need at least one nonzero polynomial")
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            if not divide(s_polynomial(G[i], G[j]), G).remainder.is_zero():
-                return False
-    return True
-
-
 def minimal_monomial_generators(monos) -> tuple:
     """Drop monomials divisible by another; sort DRL-descending."""
     monos = sorted(set(monos), key=drl_key)
@@ -205,34 +191,3 @@ def initial_ideal(gb) -> tuple:
     """Minimal monomial generators of the ideal of leading terms."""
     elements = gb.elements if isinstance(gb, GroebnerBasis) else list(gb)
     return minimal_monomial_generators(g.leading_monomial() for g in elements)
-
-
-def minimalize_homogeneous(gens) -> dict:
-    """Per-degree counts of a minimal homogeneous generating set.
-
-    Generators are eliminated degree-ascending: a candidate is redundant
-    exactly when it reduces to zero against a Groebner basis of the ideal
-    generated by everything kept so far.
-    """
-    polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        raise ValueError("need at least one nonzero generator")
-    for g in polys:
-        if not g.is_homogeneous():
-            raise NotHomogeneous(f"generator {g} is not homogeneous")
-
-    order = sorted(range(len(polys)), key=lambda k: (polys[k].degree(), k))
-    kept: list = []
-    kept_gb: tuple = ()
-    counts: dict = {}
-    for k in order:
-        g = polys[k]
-        if kept:
-            r = divide(g, kept_gb).remainder
-            if r.is_zero():
-                continue
-        kept.append(g)
-        kept_gb = buchberger(kept).elements
-        d = int(g.degree())
-        counts[d] = counts.get(d, 0) + 1
-    return dict(sorted(counts.items()))

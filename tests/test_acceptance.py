@@ -17,14 +17,15 @@ import pytest
 from grobcell import GF, QQ, canonicalize, make_cell, psi, sample
 from grobcell.betti import betti_numbers, index_sets, strata_codim
 from grobcell.canonical import canonical_matrix
-from grobcell.cell import enumerate_lex_segment_cells, hilbert_function
+from grobcell.cell import hilbert_function
 from grobcell.cli import run
-from grobcell.groebner import buchberger, initial_ideal, minimalize_homogeneous
+from grobcell.groebner import buchberger, initial_ideal
 from grobcell.hilburch import param_matrix_from_strings
 from grobcell.poly import dehomogenize
-from grobcell.projective import psi_bar, z_regular
+from grobcell.projective import psi_bar
 
 from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX1, M_EX2, M_EX3
+from oracles import enumerate_lex_segment_cells, minimalize_homogeneous, z_regular
 
 # 10003 = 7 * 1429 is composite, so the nearest prime above it serves as
 # the large-field oracle characteristic.

@@ -12,13 +12,13 @@ from grobcell.betti import (
     strata_codim,
     strata_codim_total,
 )
-from grobcell.cell import enumerate_lex_segment_cells, lex_betti
+from grobcell.cell import lex_betti
 from grobcell.errors import CharTooSmall, EmptyStratum, NotLexSegment
-from grobcell.groebner import minimalize_homogeneous
 from grobcell.hilburch import param_matrix_from_strings
 from grobcell.projective import psi_bar
 
 from conftest import M_EX1, M_EX2, M_EX3
+from oracles import enumerate_lex_segment_cells, minimalize_homogeneous
 
 
 def ex1_matrix(a31):

@@ -25,7 +25,6 @@ from grobcell.hilburch import (
     param_matrix_from_strings,
     verify_groebner_property,
 )
-from grobcell.cell import enumerate_lex_segment_cells
 from grobcell.poly import drl_key, mono_mul, parse_poly
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     cells,
     with_fractions,
 )
+from oracles import enumerate_lex_segment_cells
 
 
 def P(s):
@@ -335,6 +335,9 @@ def test_canonical_matrix_of_psi_equals_buchberger_route(cell, field, seed):
     if field == QQ:
         A = with_fractions(A, random.Random(seed))
     basis = psi(A)
+    # sample --trials relies on this: canonical_matrix(psi(A)) divides the
+    # critical S-polynomials of psi(A) itself, so it is the certificate
+    assert _strip_x_t_tails(basis).polys == basis.polys
     assert canonical_matrix(basis) == A
     assert canonicalize(list(basis.polys), cell) == A
 

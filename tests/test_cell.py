@@ -8,7 +8,6 @@ from grobcell.cell import (
     degree_matrix,
     dimension,
     dimension_bounds,
-    enumerate_lex_segment_cells,
     hilbert_function,
     lex_betti,
     param_count,
@@ -17,6 +16,7 @@ from grobcell.cell import (
 from grobcell.errors import BadMVector, ColengthTooSmall, NotLexSegment
 
 from conftest import M_EX1, M_EX2, M_EX3
+from oracles import enumerate_lex_segment_cells
 
 
 def test_make_cell_goldens():

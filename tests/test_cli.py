@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+import grobcell.canonical
+from grobcell import IdealBasis, Poly, psi
 from grobcell.cli import run
+from grobcell.groebner import DivisionResult
 
 from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX3
 
@@ -108,8 +111,14 @@ def test_sample_trials():
 
 
 def test_sample_trials_report_failed_certificate(monkeypatch):
-    # a basis that fails the certificate is a failed trial, not bad input
-    monkeypatch.setattr("grobcell.cli.verify_groebner_property", lambda basis: False)
+    # a basis that fails the certificate is a failed trial, not bad input;
+    # x added to f_t keeps every leading term but breaks the Groebner property
+    def broken_psi(A):
+        fs = psi(A).polys
+        x = Poly.monomial(A.field, 2, (1, 0))
+        return IdealBasis(A.cell, fs[:-1] + (fs[-1] + x,))
+
+    monkeypatch.setattr("grobcell.cli.psi", broken_psi)
     code, out, err = invoke(
         ["sample", "--m", "0,2,3", "--field", "fp", "--prime", "101",
          "--seed", "3", "--trials", "2", "--json"]
@@ -120,6 +129,26 @@ def test_sample_trials_report_failed_certificate(monkeypatch):
     assert all(
         not r["groebner_certified"] and not r["roundtrip_exact"] for r in obj["results"]
     )
+
+
+def test_sample_trials_non_univariate_quotient_is_a_defect(monkeypatch):
+    # only a nonzero critical remainder makes a trial uncertified; a quotient
+    # with an x term is a defect and exits 3
+    real = grobcell.canonical.critical_reductions
+
+    def with_x_quotient(basis):
+        for res in real(basis):
+            q = res.quotients
+            x = Poly.monomial(q[0].field, 2, (1, 0))
+            yield DivisionResult((q[0] + x,) + q[1:], res.remainder)
+
+    monkeypatch.setattr("grobcell.canonical.critical_reductions", with_x_quotient)
+    code, out, err = invoke(
+        ["sample", "--m", "0,2,3", "--field", "fp", "--prime", "101",
+         "--seed", "3", "--trials", "2", "--json"]
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("defect[INTERNAL]: syzygy quotient on f_0 is not univariate")
 
 
 def test_sample_rejects_negative_trials():

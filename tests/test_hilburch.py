@@ -18,10 +18,11 @@ from grobcell.hilburch import (
     param_matrix_to_json,
     verify_groebner_property,
 )
-from grobcell.cell import enumerate_lex_segment_cells, param_count
+from grobcell.cell import param_count
 from grobcell.poly import Poly, parse_poly
 
 from conftest import EX3_A_ROWS, EX3_REGENERATED, M_EX1, M_EX3, cells, with_fractions
+from oracles import enumerate_lex_segment_cells
 
 
 def permutation_determinant(rows):

@@ -3,20 +3,20 @@ import random
 import pytest
 
 from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
-from grobcell.cell import enumerate_lex_segment_cells
 from grobcell.errors import NotGroebner, NotHomogeneous, NotLexSegment
 from grobcell.groebner import buchberger, divide, initial_ideal
 from grobcell.hilburch import maximal_minors, param_matrix_from_strings
 from grobcell.poly import Poly, dehomogenize, homogenize, parse_poly
-from grobcell.projective import (
+from grobcell.projective import psi_bar
+
+from conftest import EX3_A_ROWS, with_fractions
+from oracles import (
+    enumerate_lex_segment_cells,
     homogenize_matrix,
     ideal_dehomogenize,
     ideal_homogenize,
-    psi_bar,
     z_regular,
 )
-
-from conftest import EX3_A_ROWS, with_fractions
 
 
 def P3(s, field=QQ):
