@@ -26,9 +26,6 @@ class ResolutionDegrees:
     p: tuple
     q: tuple
 
-    def q_degree(self, col: int) -> int:
-        return self.q[col - 1]
-
 
 def resolution_degrees(cell: MonomialCell) -> ResolutionDegrees:
     degs = cell.generator_degrees()

@@ -115,7 +115,7 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
                 raise InternalError(
                     f"syzygy quotient on f_{j} is not univariate: {q}"
                 )
-            col.append(-Poly(field, 1, {(m[1],): c for m, c in q.terms.items()}))
+            col.append(Poly(field, 1, {(m[1],): -c for m, c in q.terms.items()}))
         cols.append(col)
     rows = tuple(tuple(c[r] for c in cols) for r in range(cell.t + 1))
     M = ParamMatrix(cell, field, rows)

@@ -77,14 +77,6 @@ class MoveNotApplicable(ValidationError):
     code = "MOVE_NOT_APPLICABLE"
 
 
-class NotHomogeneous(ValidationError):
-    code = "NOT_HOMOGENEOUS"
-
-
-class NotGroebner(ValidationError):
-    code = "NOT_GROEBNER"
-
-
 class EmptyStratum(ValidationError):
     code = "EMPTY_STRATUM"
 

@@ -47,6 +47,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {text.strip()!r}") from None
+
+
 class Rationals:
     """The field of rational numbers; scalars are ``Fraction`` values."""
 
@@ -67,7 +74,7 @@ class Rationals:
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
     def parse_scalar(self, text: str) -> Fraction:
-        return Fraction(text.strip())
+        return _parse_fraction(text)
 
     def format_scalar(self, c: Fraction) -> str:
         return str(c)
@@ -180,7 +187,7 @@ class PrimeField:
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
     def parse_scalar(self, text: str) -> GFElement:
-        return self.coerce(Fraction(text.strip()))
+        return self.coerce(_parse_fraction(text))
 
     def format_scalar(self, c: GFElement) -> str:
         return str(self.coerce(c).v)

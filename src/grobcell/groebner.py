@@ -7,17 +7,39 @@ the independent oracle for the rest of the package, so auditability beats
 cleverness.  Two heaps only spare rescans: Buchberger computes each pair's
 key once, when the pair is created, and pops pairs from a heap in the order
 the normal strategy gives; division draws the next term to treat from a
-heap of the monomials in the working polynomial.
+heap of the monomials in the working polynomial, as in Monagan and Pearce,
+"Sparse polynomial division using a heap" (JSC 2011).
+
+Division runs on an image of its input in ints.  A monomial is one int of
+poly._DrlPacking, whose int order is DRL order, so the heap orders ints, a
+monomial product is one int addition and a divisibility test a subtraction
+and two comparisons of bit fields.  The fields are as wide as the largest
+total degree among the dividend and the divisors needs, and DRL's
+degree-compatibility is what makes that enough: every term of the working
+polynomial is DRL-below the dividend's leading term, and every quotient
+term times a divisor term is DRL-below the term it cancels, so no monomial
+met in a division has a larger degree and no field carries.  The tests keep
+a plain division on exponent tuples that rescans for the largest term as
+the reference this one must match, quotients and remainder.
+
+Scalars are ints mod p over GF(p).  Over QQ a coefficient enters as an int
+when its denominator is 1 and as a Fraction otherwise, and a quotient
+coefficient is brought back to an int whenever its denominator is 1, so a
+division with integer coefficients and monic divisors stays in int
+arithmetic.  A non-unit leading coefficient divides through Fraction, never
+through / on two ints.  Only the results become Poly values again.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DivisionByZero
 from .poly import (
     Poly,
+    _DrlPacking,
     drl_key,
     mono_div,
     mono_divides,
@@ -35,55 +57,109 @@ class DivisionResult:
 
 
 def divide(f: Poly, divisors) -> DivisionResult:
-    """Multivariate division; ties always go to the leftmost divisor."""
+    """Multivariate division; ties always go to the leftmost divisor.
+
+    f and the divisors are packed once, as wide as the largest total degree
+    among them needs (see the module docstring), and the heap loop runs on
+    the images."""
     divisors = list(divisors)
-    field = f.field
-    for g in divisors:
-        if g.is_zero():
-            raise DivisionByZero("division by a zero polynomial")
-        f._check_compatible(g)
-    lts = [(g.leading_monomial(), g.leading_coeff()) for g in divisors]
+    top = max([f.degree(), 0] + [g.degree() for g in divisors])
+    packed = _PackedDivisors(f, top, divisors)
+    return packed.divide(packed.image(f))
 
-    # Min-heap on (-deg, reversed tail exponents), i.e. DRL-descending.  A
-    # monomial is pushed when it enters `work`; an entry whose monomial has
-    # since cancelled out of `work` is stale and skipped.
-    work = dict(f.terms)
-    heap = [((-sum(m),) + m[:0:-1], m) for m in work]
-    heapq.heapify(heap)
-    quots = [dict() for _ in divisors]
-    rem: dict = {}
-    while heap:
-        mono = heapq.heappop(heap)[1]
-        coeff = work.get(mono)
-        if coeff is None:
-            continue
-        for k, (gm, gc) in enumerate(lts):
-            if mono_divides(gm, mono):
-                qm = mono_div(mono, gm)
-                qc = coeff / gc
-                q = quots[k]
-                prev = q.get(qm)
-                q[qm] = qc if prev is None else prev + qc
-                for m2, c2 in divisors[k].terms.items():
-                    mm = mono_mul(qm, m2)
-                    prev = work.get(mm)
-                    nc = -(qc * c2) if prev is None else prev - qc * c2
-                    if nc:
-                        if prev is None:
-                            heapq.heappush(heap, ((-sum(mm),) + mm[:0:-1], mm))
-                        work[mm] = nc
+
+class _PackedDivisors:
+    """Divisors packed once, for any number of divisions of dividends packed
+    the same way: monomials as ints of a _DrlPacking for degrees up to
+    `top`, scalars as in the module docstring.  The divisors must be nonzero
+    and live in the ring of `f`.  `images` holds each divisor as
+    {packed monomial: scalar}."""
+
+    def __init__(self, f: Poly, top: int, divisors):
+        for g in divisors:
+            if g.is_zero():
+                raise DivisionByZero("division by a zero polynomial")
+            f._check_compatible(g)
+        field, nvars = f.field, f.nvars
+        self.field = field
+        self.p = field.characteristic
+        self.packing = _DrlPacking(nvars, top)
+        self.images = [self.image(g) for g in divisors]
+        # Per divisor: its leading monomial (the largest int), the scalar
+        # that turns a coefficient into a quotient coefficient (the inverse
+        # of the leading coefficient mod p, over QQ the leading coefficient
+        # itself) and its other terms.
+        self.leads = []
+        for g in self.images:
+            lead = max(g)
+            lc = g[lead]
+            scale = pow(lc, -1, self.p) if self.p else lc
+            self.leads.append((lead, scale, [(m, c) for m, c in g.items() if m != lead]))
+        zero = Poly.zero(field, nvars)
+        self.zero = DivisionResult(tuple(zero for _ in divisors), zero)
+
+    def image(self, f: Poly) -> dict:
+        pack = self.packing.pack
+        if self.p:
+            return {pack(m): c.v for m, c in f.terms.items()}
+        return {pack(m): c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
+
+    def _poly(self, image: dict) -> Poly:
+        unpack, coerce = self.packing.unpack, self.field.coerce
+        return Poly(
+            self.field, self.packing.nvars, {unpack(m): coerce(c) for m, c in image.items()}
+        )
+
+    def divide(self, work: dict) -> DivisionResult:
+        """Divide the image `work`, which is consumed.
+
+        The heap holds negated monomials, so it pops the DRL-largest first.
+        A monomial is pushed when it enters `work`; an entry whose monomial
+        has since cancelled out of `work` is stale and skipped.  A treated
+        monomial never comes back, since every term a step adds is DRL-below
+        it; so each quotient monomial is written once.
+        """
+        if not work:
+            return self.zero
+        p = self.p
+        heap = [-m for m in work]
+        heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        divides = self.packing.divides
+        quots = [dict() for _ in self.leads]
+        rem: dict = {}
+        while heap:
+            mono = -heappop(heap)
+            coeff = work.pop(mono, None)
+            if coeff is None:
+                continue
+            for (lead, scale, tail), quot in zip(self.leads, quots):
+                if divides(lead, mono):
+                    qm = mono - lead
+                    if p:
+                        qc = coeff * scale % p
                     else:
-                        work.pop(mm, None)
-                break
-        else:
-            rem[mono] = coeff
-            del work[mono]
-
-    nvars = f.nvars
-    return DivisionResult(
-        tuple(Poly(field, nvars, q) for q in quots),
-        Poly(field, nvars, rem),
-    )
+                        qc = coeff if scale == 1 else Fraction(coeff, scale)
+                        if type(qc) is Fraction and qc.denominator == 1:
+                            qc = qc.numerator
+                    quot[qm] = qc
+                    # The leading term cancels `mono`, already popped from work.
+                    for m2, c2 in tail:
+                        mm = qm + m2
+                        prev = work.get(mm)
+                        nc = -qc * c2 if prev is None else prev - qc * c2
+                        if p:
+                            nc %= p
+                        if nc:
+                            if prev is None:
+                                heappush(heap, -mm)
+                            work[mm] = nc
+                        else:
+                            del work[mm]
+                    break
+            else:
+                rem[mono] = coeff
+        return DivisionResult(tuple(self._poly(q) for q in quots), self._poly(rem))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .cell import MonomialCell, hilbert_function, make_cell
 from .errors import BoundViolation, FieldMismatch, InternalError, LeadingTermMismatch
 from .field import char_ok, field_from_json
-from .groebner import DivisionResult, divide
-from .poly import Poly, format_poly, parse_poly
+from .groebner import _PackedDivisors
+from .poly import Poly, _DrlPacking, format_poly, parse_poly
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,15 @@ class _MinorTable:
     entries left; the zero pattern is one row bitmask per column, so that
     count is a popcount.
 
-    A monomial is one int holding each exponent in a bit field of fixed
-    width.  No exponent of a minor exceeds the sum over columns of the
-    largest entry degree, and the width holds that sum, so multiplying
-    monomials is one int addition that never carries.  Coefficients are
-    ints: over QQ each row is scaled by the lcm of its denominators, and a
-    minor is divided by the product of the scales of the rows it keeps when
-    it is converted back; over GF(p) they are residues mod p.  Only the
-    minors handed back become Poly values again.
+    A monomial is one int of poly._DrlPacking, the DRL packing that division
+    shares.  No term of a minor has a larger total degree than the sum over
+    columns of the largest entry degree, and the packing is as wide as that
+    sum needs, so multiplying monomials is one int addition that never
+    carries.  Coefficients are ints: over QQ each row is scaled by the lcm
+    of its denominators, and a minor is divided by the product of the
+    scales of the rows it keeps when it is converted back; over GF(p) they
+    are residues mod p.  Only the minors handed back become Poly values
+    again.
     """
 
     def __init__(self, rows, field, nvars):
@@ -129,7 +130,8 @@ class _MinorTable:
             max((sum(m) for row in rows for m in row[c].terms), default=0)
             for c in range(ncols)
         )
-        self.width = max(1, top.bit_length())
+        self.packing = _DrlPacking(nvars, top)
+        pack = self.packing.pack
         p = self.modulus = field.characteristic
         if p:
             self.scales = [1] * len(rows)
@@ -145,7 +147,7 @@ class _MinorTable:
         # columns[c][r]: entry (r, c) as {packed monomial: int coefficient}
         self.columns = [
             [
-                {self._pack(m): image(v, s) for m, v in row[c].terms.items()}
+                {pack(m): image(v, s) for m, v in row[c].terms.items()}
                 for row, s in zip(rows, self.scales)
             ]
             for c in range(ncols)
@@ -154,9 +156,6 @@ class _MinorTable:
             sum(1 << r for r, e in enumerate(col) if e) for col in self.columns
         ]
         self.memo: dict = {(0, ()): {0: 1}}  # the empty minor is 1
-
-    def _pack(self, mono: tuple) -> int:
-        return sum(e << (self.width * k) for k, e in enumerate(mono))
 
     def minor(self, rowmask: int, cols: tuple) -> dict:
         """The minor on the rows set in rowmask and on cols, as
@@ -198,8 +197,7 @@ class _MinorTable:
 
     def minor_poly(self, rowmask: int, cols: tuple) -> Poly:
         """The minor on the given rows and columns, back in Poly form."""
-        field, w, n = self.field, self.width, self.nvars
-        mask = (1 << w) - 1
+        field, unpack = self.field, self.packing.unpack
         if self.modulus:
             coeff = field.coerce
         else:
@@ -207,11 +205,8 @@ class _MinorTable:
             coeff = lambda v: Fraction(v, den)
         return Poly(
             field,
-            n,
-            {
-                tuple(m >> (w * k) & mask for k in range(n)): coeff(v)
-                for m, v in self.minor(rowmask, cols).items()
-            },
+            self.nvars,
+            {unpack(m): coeff(v) for m, v in self.minor(rowmask, cols).items()},
         )
 
 
@@ -284,21 +279,39 @@ def verify_groebner_property(basis: IdealBasis) -> bool:
 
 def critical_reductions(basis: IdealBasis):
     """Yield, for i = 1..t, the division of the critical S-polynomial
-    y^(d_i) f_(i-1) - x f_i by f_0..f_t.  The basis is a Groebner basis
-    exactly when every remainder is zero; then the quotients give the
-    columns of its Hilbert-Burch matrix.  A zero S-polynomial is not
-    divided: its quotients are zero.  Lazy, so a caller can stop at the
-    first nonzero remainder."""
+    y^(d_i) f_(i-1) - x f_i by f_0..f_t, equal to groebner.divide's.  The
+    basis is a Groebner basis exactly when every remainder is zero; then
+    the quotients give the columns of its Hilbert-Burch matrix.  Lazy, so a
+    caller can stop at the first nonzero remainder.
+
+    f_0..f_t are packed once for all t divisions, wide enough for the
+    degree of every S-polynomial, and each S-polynomial is built on the
+    packed images, where multiplying by y^(d_i) or by x is one int
+    addition per term."""
     cell = basis.cell
     fs = basis.polys
-    field = fs[0].field
-    zero = Poly.zero(field, 2)
-    trivial = DivisionResult(tuple(zero for _ in fs), zero)
+    d = [cell.d_of(i) for i in range(1, cell.t + 1)]
+    top = max(
+        (max(fs[i - 1].degree() + d[i - 1], fs[i].degree() + 1) for i in range(1, len(fs))),
+        default=0,
+    )
+    packed = _PackedDivisors(fs[0], top, fs)
+    p = packed.p
+    x = packed.packing.pack((1, 0))
     for i in range(1, cell.t + 1):
-        s = fs[i - 1].mul_term((0, cell.d_of(i)), field.one) - fs[i].mul_term(
-            (1, 0), field.one
-        )
-        yield divide(s, fs) if s else trivial
+        y_d = packed.packing.pack((0, d[i - 1]))
+        s = {m + y_d: c for m, c in packed.images[i - 1].items()}
+        for m, c in packed.images[i].items():
+            m += x
+            prev = s.get(m)
+            nc = -c if prev is None else prev - c
+            if p:
+                nc %= p
+            if nc:
+                s[m] = nc
+            else:
+                del s[m]
+        yield packed.divide(s)
 
 
 def sample(cell: MonomialCell, field, seed: int) -> ParamMatrix:

@@ -14,6 +14,7 @@ two-variable ring K[x, y] and the three-variable ring K[x, y, z].
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .errors import DivisionByZero, FieldMismatch, ZeroPolynomial
 
@@ -39,6 +40,54 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+class _DrlPacking:
+    """Monomials of total degree at most `top` as ints whose order is DRL.
+
+    The bit fields, high to low, are (e) in K[y], (deg, x) in K[x, y] and
+    (deg, x+y, x) in K[x, y, z], each as wide as the bit length of `top`.
+    Comparing the ints compares those fields in turn, which is DRL: a
+    smaller exponent of the last variable leaves a larger sum of the
+    others.  Every field is a sum of exponents, so a monomial packs to a
+    fixed weighted sum of its exponents, and the product of two monomials
+    whose degree stays within top is the sum of their ints: no field
+    exceeds the degree, so none carries.  DRL compares degrees first, which
+    is what keeps the degrees inside a division within top.
+
+    Read as (x, x+y, deg), with a field the ring lacks read as the value it
+    would hold (x = 0 in K[y], x+y = deg outside K[x, y, z]), a packed
+    monomial has fields that never decrease from x to deg.  So `a` divides
+    `b` exactly when q = b - a reads that way: a borrow out of any field,
+    or a negative q, breaks the order.
+    """
+
+    __slots__ = ("nvars", "weights", "xmask", "sshift", "smask", "dshift")
+
+    def __init__(self, nvars: int, top: int):
+        w = max(1, top.bit_length())
+        b, mask = 1 << w, (1 << w) - 1
+        self.nvars = nvars
+        self.weights = {1: (1,), 2: (b + 1, b), 3: (b * b + b + 1, b * b + b, b * b)}[nvars]
+        # m & xmask, m >> sshift & smask and m >> dshift read x, x+y and deg.
+        self.xmask, self.sshift, self.smask, self.dshift = {
+            1: (0, 0, -1, 0),
+            2: (mask, w, -1, w),
+            3: (mask, w, mask, 2 * w),
+        }[nvars]
+
+    def pack(self, mono: tuple) -> int:
+        return sum(map(mul, mono, self.weights))
+
+    def unpack(self, m: int) -> tuple:
+        x, s, d = m & self.xmask, m >> self.sshift & self.smask, m >> self.dshift
+        if self.nvars == 1:
+            return (s,)
+        return (x, s - x) if self.nvars == 2 else (x, s - x, d - s)
+
+    def divides(self, a: int, b: int) -> bool:
+        q = b - a
+        return q & self.xmask <= q >> self.sshift & self.smask <= q >> self.dshift
 
 
 class Poly:
@@ -94,10 +143,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     # -- ring operations -------------------------------------------------
 

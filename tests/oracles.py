@@ -12,15 +12,29 @@ compares the package against.  None of them is part of grobcell's API.
   the initial ideal involves z.
 * `minimalize_homogeneous` counts a minimal homogeneous generating set per
   degree with Buchberger, the Groebner oracle for the Betti numbers.
+* `is_homogeneous`, `NotHomogeneous` and `NotGroebner` serve the checks
+  above.
 """
 
 from __future__ import annotations
 
 from grobcell.cell import MonomialCell
-from grobcell.errors import NotGroebner, NotHomogeneous
+from grobcell.errors import ValidationError
 from grobcell.groebner import buchberger, divide, initial_ideal, s_polynomial
 from grobcell.hilburch import ParamMatrix
 from grobcell.poly import Poly, dehomogenize, homogenize
+
+
+class NotHomogeneous(ValidationError):
+    code = "NOT_HOMOGENEOUS"
+
+
+class NotGroebner(ValidationError):
+    code = "NOT_GROEBNER"
+
+
+def is_homogeneous(f: Poly) -> bool:
+    return len({sum(m) for m in f.terms}) <= 1
 
 
 def enumerate_lex_segment_cells(max_colength: int) -> list:
@@ -66,7 +80,7 @@ def minimalize_homogeneous(gens) -> dict:
     if not polys:
         raise ValueError("need at least one nonzero generator")
     for g in polys:
-        if not g.is_homogeneous():
+        if not is_homogeneous(g):
             raise NotHomogeneous(f"generator {g} is not homogeneous")
 
     order = sorted(range(len(polys)), key=lambda k: (polys[k].degree(), k))
@@ -114,7 +128,7 @@ def z_regular(polys) -> bool:
     for F in polys:
         if F.nvars != 3:
             raise ValueError("expected polynomials in x, y and z")
-        if not F.is_homogeneous():
+        if not is_homogeneous(F):
             raise NotHomogeneous(f"{F} is not homogeneous")
     gb = buchberger(polys)
     return all(mono[2] == 0 for mono in initial_ideal(gb))
@@ -137,7 +151,7 @@ def ideal_dehomogenize(polys) -> list:
     if not polys:
         raise ValueError("need at least one nonzero polynomial")
     for F in polys:
-        if not F.is_homogeneous():
+        if not is_homogeneous(F):
             raise NotHomogeneous(f"{F} is not homogeneous")
     if not is_groebner(polys):
         raise NotGroebner("input basis fails the S-polynomial test")

@@ -25,7 +25,12 @@ from grobcell.poly import dehomogenize
 from grobcell.projective import psi_bar
 
 from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX1, M_EX2, M_EX3
-from oracles import enumerate_lex_segment_cells, minimalize_homogeneous, z_regular
+from oracles import (
+    enumerate_lex_segment_cells,
+    is_homogeneous,
+    minimalize_homogeneous,
+    z_regular,
+)
 
 # 10003 = 7 * 1429 is composite, so the nearest prime above it serves as
 # the large-field oracle characteristic.
@@ -175,7 +180,7 @@ def test_criterion_7_projective_lift():
         failures = 0
         for cell, A in _sample_stream(GF(BIG_PRIME), 100, seed=60321):
             FB = psi_bar(A)
-            if not all(F.is_homogeneous() for F in FB.polys):
+            if not all(is_homogeneous(F) for F in FB.polys):
                 failures += 1
                 continue
             if not z_regular(list(FB.polys)):

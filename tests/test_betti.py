@@ -32,7 +32,7 @@ def test_resolution_degrees():
     rd = resolution_degrees(make_cell(M_EX1))
     assert rd.p == (3, 7, 8, 11)
     assert rd.q == (8, 9, 12)
-    assert rd.q_degree(1) == 8
+    assert rd.q[0] == 8
     # every syzygy degree is one more than the generator it pairs with
     rd3 = resolution_degrees(make_cell(M_EX3))
     assert rd3.p == (3, 4, 4, 5)

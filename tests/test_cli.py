@@ -191,6 +191,22 @@ def test_malformed_matrix_json(tmp_path, document, message):
     assert err.startswith("error: " + message) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field_flags", [[], ["--field", "fp", "--prime", "7"]], ids=["qq", "fp"])
+@pytest.mark.parametrize("command", ["canonicalize", "psi"])
+def test_zero_denominator_is_input_error(tmp_path, command, field_flags):
+    if command == "canonicalize":
+        path = tmp_path / "gens.txt"
+        path.write_text("x^2+1/0*y\ny^3\n")
+        argv = ["canonicalize", "--gens", str(path)]
+    else:
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps({"m": [0, 2], "entries": [["0"], ["1/0"]]}))
+        argv = ["psi", "--matrix", str(path)]
+    code, out, err = invoke(argv + field_flags)
+    assert code == 2 and out == ""
+    assert err == "error[DIVISION_BY_ZERO]: zero denominator in '1/0'\n"
+
+
 def test_psi_homogeneous(ex3_matrix_file):
     code, out, _ = invoke(["psi", "--matrix", ex3_matrix_file, "--homogeneous"])
     assert code == 0

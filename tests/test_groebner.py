@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
 import grobcell.groebner as groebner_mod
-from grobcell.errors import NotHomogeneous
 from grobcell.groebner import (
     buchberger,
     divide,
@@ -20,6 +19,7 @@ from grobcell.groebner import (
 )
 from grobcell.poly import (
     Poly,
+    _DrlPacking,
     drl_key,
     homogenize,
     mono_div,
@@ -29,7 +29,7 @@ from grobcell.poly import (
 )
 
 from conftest import EX3_GENS, M_EX1, M_EX3, with_fractions
-from oracles import is_groebner, minimalize_homogeneous
+from oracles import NotHomogeneous, is_groebner, minimalize_homogeneous
 
 
 def P(s, field=QQ):
@@ -120,15 +120,17 @@ def rescanning_divide(f, divisors):
 
 @st.composite
 def division_cases(draw):
-    """Divisors and a dividend r + sum(h_k * g_k) over few low-degree
-    monomials, so that terms of the working polynomial often cancel and
-    later come back."""
+    """Divisors and a dividend r + sum(h_k * g_k) over few monomials, so
+    that terms of the working polynomial often cancel and later come back.
+    Each variable's exponents are 0, 1 or 2 times a step of 1, 7 or 50, so
+    degrees range past 300 and cross several packing widths."""
     field = draw(st.sampled_from([QQ, GF(101)]))
     coeff = st.sampled_from(
         [Fraction(-3, 2), -1, Fraction(1, 3), 1, 2] if field is QQ else [1, 2, 50, 99, 100]
     )
     nvars = draw(st.integers(2, 3))
-    mono = st.tuples(*[st.integers(0, 2)] * nvars)
+    steps = draw(st.tuples(*[st.sampled_from([1, 7, 50])] * nvars))
+    mono = st.tuples(*[st.integers(0, 2).map(lambda e, s=s: e * s) for s in steps])
     poly = st.lists(st.tuples(mono, coeff), min_size=1, max_size=4).map(
         lambda items: Poly.from_terms(field, nvars, items)
     )
@@ -153,11 +155,13 @@ def test_divide_matches_rescanning_division(case):
 
 def test_divide_skips_stale_heap_entries(monkeypatch):
     # x^3 + x*y^2 by x^2 + x*y + y^2: the first step cancels x*y^2, the
-    # second (on -x^2*y) brings it back, so it sits in the heap twice.
+    # second (on -x^2*y) brings it back, so it sits in the heap twice.  The
+    # heap holds negated packed monomials; divide packs degree <= 3 here.
+    packing = _DrlPacking(2, 3)
     pushed = []
 
     def heappush(heap, item):
-        pushed.append(item[1])
+        pushed.append(packing.unpack(-item))
         heapq.heappush(heap, item)
 
     monkeypatch.setattr(

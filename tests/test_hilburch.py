@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
-from grobcell.errors import BoundViolation, FieldMismatch, LeadingTermMismatch
+from grobcell.errors import (
+    BoundViolation,
+    DivisionByZero,
+    FieldMismatch,
+    LeadingTermMismatch,
+)
+from grobcell.groebner import divide
 from grobcell.hilburch import (
     IdealBasis,
+    critical_reductions,
     determinant,
     hb_matrix,
     maximal_minors,
@@ -239,6 +247,55 @@ def test_verify_groebner_property():
     fs[0] = parse_poly("y^12", QQ, 2)
     with pytest.raises(LeadingTermMismatch):
         verify_groebner_property(IdealBasis(cell, tuple(fs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=cells(),
+    field=st.sampled_from([QQ, GF(10007), GF(3), GF(2)]),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.booleans(),
+)
+def test_critical_reductions_match_divide(cell, field, seed, perturb):
+    """The packed S-polynomials and their divisions equal groebner.divide
+    of the S-polynomials built from Poly values, quotients and remainder;
+    adding x to f_t makes remainders nonzero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small characteristic
+        A = sample(cell, field, seed)
+    if field == QQ:
+        A = with_fractions(A, random.Random(seed))
+    fs = list(psi(A).polys)
+    if perturb:
+        fs[-1] = fs[-1] + parse_poly("x", field, 2)
+    got = list(critical_reductions(IdealBasis(cell, tuple(fs))))
+    assert len(got) == cell.t
+    for i, res in enumerate(got, 1):
+        s = fs[i - 1].mul_term((0, cell.d_of(i)), field.one) - fs[i].mul_term(
+            (1, 0), field.one
+        )
+        want = divide(s, fs)
+        assert res.quotients == want.quotients
+        assert res.remainder == want.remainder
+
+
+def test_critical_reductions_input_checks():
+    cell = make_cell(M_EX3)
+    fs = list(psi(zero_matrix(cell, QQ)).polys)
+    for bad, exc in (
+        (Poly.zero(QQ, 2), DivisionByZero),
+        (parse_poly("y^5", GF(7), 2), FieldMismatch),
+    ):
+        basis = IdealBasis(cell, tuple(fs[:-1] + [bad]))
+        with pytest.raises(exc):
+            next(critical_reductions(basis))
+
+
+def test_critical_reductions_nonzero_remainder():
+    cell = make_cell(M_EX1)
+    fs = list(psi(sample(cell, GF(10007), 3)).polys)
+    fs[-1] = fs[-1] + parse_poly("x", GF(10007), 2)
+    assert any(r.remainder for r in critical_reductions(IdealBasis(cell, tuple(fs))))
 
 
 def test_sample_determinism_and_shape():

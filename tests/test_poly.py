@@ -2,23 +2,27 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grobcell import GF, QQ
 from grobcell.errors import FieldMismatch, ZeroPolynomial
 from grobcell.poly import (
     Poly,
+    _DrlPacking,
     dehomogenize,
     drl_key,
     format_poly,
     homogenize,
+    mono_divides,
+    mono_mul,
     parse_poly,
     uni_divmod,
     variable,
 )
 
 from conftest import EX3_GENS
+from oracles import is_homogeneous
 
 
 def P(s, field=QQ, nvars=2):
@@ -112,12 +116,50 @@ def test_drl_order_laws_randomized():
             assert drl_key(uw) > drl_key(vw)
 
 
+@st.composite
+def packing_cases(draw):
+    """Two monomials b and a near b: each exponent of a is b's, lowered by
+    up to 2 or raised by 1, so a divides b about half the time.  Exponents
+    reach 300, as in x^300, y."""
+    nvars = draw(st.integers(1, 3))
+    b = draw(st.tuples(*[st.integers(0, 300)] * nvars))
+    shifts = draw(st.tuples(*[st.integers(-1, 2)] * nvars))
+    a = tuple(max(0, e - s) for e, s in zip(b, shifts))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(packing_cases())
+@example(((255,), (0,)))
+@example(((300, 0), (0, 1)))
+@example(((0, 0, 1), (1, 0, 0)))
+@example(((127, 0, 0), (0, 128, 255)))
+def test_drl_packing_laws(case):
+    a, b = case
+    ab = mono_mul(a, b)
+    # The narrowest packings: one just holds a*b, the other a and b.
+    for packing, monos in (
+        (_DrlPacking(len(a), sum(ab)), (a, b, ab)),
+        (_DrlPacking(len(a), max(sum(a), sum(b))), (a, b)),
+    ):
+        pack = packing.pack
+        for m in monos:
+            assert packing.unpack(pack(m)) == m
+        for u in monos:
+            for v in monos:
+                assert (pack(u) > pack(v)) == (drl_key(u) > drl_key(v))
+                assert (pack(u) == pack(v)) == (u == v)
+                assert packing.divides(pack(u), pack(v)) == mono_divides(u, v)
+    packing = _DrlPacking(len(a), sum(ab))
+    assert packing.pack(a) + packing.pack(b) == packing.pack(ab)
+
+
 def test_homogenize_golden():
     assert homogenize(P("x^2+y-3")) == parse_poly("x^2+y*z-3*z^2", QQ, 3)
     assert homogenize(P("x^4")) == parse_poly("x^4", QQ, 3)
     # every term of the worked example's cubic pads to degree 3
     f0h = homogenize(P(EX3_GENS[0]))
-    assert f0h.is_homogeneous() and f0h.degree() == 3
+    assert is_homogeneous(f0h) and f0h.degree() == 3
     assert f0h.coeff((0, 0, 3)) == QQ.coerce(-2)
 
 

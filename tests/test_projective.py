@@ -3,7 +3,7 @@ import random
 import pytest
 
 from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
-from grobcell.errors import NotGroebner, NotHomogeneous, NotLexSegment
+from grobcell.errors import NotLexSegment
 from grobcell.groebner import buchberger, divide, initial_ideal
 from grobcell.hilburch import maximal_minors, param_matrix_from_strings
 from grobcell.poly import Poly, dehomogenize, homogenize, parse_poly
@@ -11,10 +11,13 @@ from grobcell.projective import psi_bar
 
 from conftest import EX3_A_ROWS, with_fractions
 from oracles import (
+    NotGroebner,
+    NotHomogeneous,
     enumerate_lex_segment_cells,
     homogenize_matrix,
     ideal_dehomogenize,
     ideal_homogenize,
+    is_homogeneous,
     z_regular,
 )
 
@@ -52,7 +55,7 @@ def test_homogenize_matrix_entries(ex3_cell):
         for j in range(1, ex3_cell.t + 1):
             e = rows[i - 1][j - 1]
             if not e.is_zero():
-                assert e.is_homogeneous()
+                assert is_homogeneous(e)
                 assert e.degree() == ex3_cell.u(i, j)
 
 
@@ -97,7 +100,7 @@ def check_psi_bar(A, check_minors):
     FB = psi_bar(A)
     if check_minors:
         assert list(FB.polys) == hom_minors(A)
-    assert all(p.is_homogeneous() for p in FB.polys)
+    assert all(is_homogeneous(p) for p in FB.polys)
     assert z_regular(list(FB.polys))
     gb = buchberger(list(FB.polys))
     assert set(initial_ideal(gb)) == {
