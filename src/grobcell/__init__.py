@@ -50,7 +50,7 @@ from .hilburch import (
     verify_groebner_property,
     zero_matrix,
 )
-from .poly import Poly, dehomogenize, format_poly, homogenize, parse_poly, uni_divmod, variable
+from .poly import Poly, dehomogenize, format_poly, homogenize, parse_poly, variable
 from .projective import HomIdealBasis, psi_bar
 
 __version__ = "0.1.0"
@@ -106,7 +106,6 @@ __all__ = [
     "format_poly",
     "homogenize",
     "parse_poly",
-    "uni_divmod",
     "variable",
     "HomIdealBasis",
     "psi_bar",

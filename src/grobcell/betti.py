@@ -70,6 +70,7 @@ def matrix_rank(rows, field) -> int:
     m = [list(r) for r in rows]
     if not m or not m[0]:
         return 0
+    p = field.characteristic
     nrows, ncols = len(m), len(m[0])
     rank = 0
     for col in range(ncols):
@@ -81,12 +82,13 @@ def matrix_rank(rows, field) -> int:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = field.one / m[rank][col]
+        inv = field.inv(m[rank][col])
         for r in range(rank + 1, nrows):
             if m[r][col]:
                 factor = m[r][col] * inv
                 for c in range(col, ncols):
-                    m[r][c] = m[r][c] - factor * m[rank][c]
+                    v = m[r][c] - factor * m[rank][c]
+                    m[r][c] = v % p if p else v
         rank += 1
         if rank == nrows:
             break

@@ -32,11 +32,12 @@ from .hilburch import (
     IdealBasis,
     ParamMatrix,
     check_membership,
+    check_minor_columns,
     critical_reductions,
     psi,
     verify_groebner_property,
 )
-from .poly import Poly, drl_key, uni_divmod
+from .poly import Poly, drl_key
 
 
 def grade_bound(cell: MonomialCell, i: int, j: int) -> int:
@@ -115,7 +116,7 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
                 raise InternalError(
                     f"syzygy quotient on f_{j} is not univariate: {q}"
                 )
-            col.append(Poly(field, 1, {(m[1],): -c for m, c in q.terms.items()}))
+            col.append(-Poly(field, 1, {(m[1],): c for m, c in q.terms.items()}))
         cols.append(col)
     rows = tuple(tuple(c[r] for c in cols) for r in range(cell.t + 1))
     M = ParamMatrix(cell, field, rows)
@@ -153,7 +154,8 @@ def reduction_move(M: ParamMatrix, i: int, j: int) -> ParamMatrix:
             f"slot ({i},{j}) has degree {a.degree()}, below the pivot degree "
             f"{cell.d_of(piv)}"
         )
-    q, _ = uni_divmod(a, Poly.monomial(field, 1, (cell.d_of(piv),)) + M.entry(piv, piv))
+    pivot = Poly.monomial(field, 1, (cell.d_of(piv),)) + M.entry(piv, piv)
+    q = divide(a, [pivot]).quotients[0]
 
     def q_y(k):  # q * y^(d_k), the diagonal entry of X in column k times q
         return q.mul_term((cell.d_of(k),), field.one)
@@ -225,6 +227,9 @@ def _canonicalize(gens, cell: MonomialCell = None) -> tuple:
         cell = cell_from_minimal_generators(initial_ideal(gb))
     else:
         _check_initial_ideal(gb, cell)
+    # The same-ideal check expands psi(A), which takes t columns; refuse a
+    # cell too wide for that before the back end does t^2 work on it.
+    check_minor_columns(cell.t)
     A = canonical_matrix(_prepare_from_gb(gb, cell))
     return A, _verify_same_ideal(A, gb)
 

@@ -85,6 +85,12 @@ class CharTooSmall(ValidationError):
     code = "CHAR_TOO_SMALL"
 
 
+class MatrixTooLarge(ValidationError):
+    """A matrix wider than the documented cap of the minor expansion."""
+
+    code = "MATRIX_TOO_LARGE"
+
+
 class InternalReductionFailure(InternalError):
     code = "INTERNAL_REDUCTION_FAILURE"
 

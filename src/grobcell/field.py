@@ -2,11 +2,12 @@
 
 Rational scalars are plain ``fractions.Fraction`` values: arbitrary
 precision, always reduced, always with positive denominator.  Prime-field
-scalars are :class:`GFElement` wrappers around a canonical representative in
-``[0, p)``.  Both kinds support ``+ - * /`` and unary ``-``, so polynomial
-code never needs to know which field it is working over; the field objects
-(:data:`QQ` and :func:`GF`) supply zero, one, coercion, parsing, formatting
-and sampling.
+scalars are plain ``int`` values in ``[0, p)``, the same format the packed
+polynomial kernel computes in.  A scalar does not know its field: ``Poly``
+carries the field, checks that operands share it, and reduces sums and
+products mod p.  The field objects (:data:`QQ` and :func:`GF`) supply zero,
+one, coercion, the inverse, parsing, formatting and sampling.  Division goes
+through ``inv``, never through ``/``, which on two ints gives a float.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch
+from .errors import DivisionByZero
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
 # comfortably past the 2**63 cap on primes accepted below.
@@ -69,9 +70,12 @@ class Rationals:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        if isinstance(x, GFElement):
-            raise FieldMismatch("cannot coerce a prime-field element into QQ")
         raise TypeError(f"cannot coerce {x!r} into QQ")
+
+    def inv(self, c) -> Fraction:
+        if not c:
+            raise DivisionByZero("0 has no inverse in QQ")
+        return Fraction(c.denominator, c.numerator)
 
     def parse_scalar(self, text: str) -> Fraction:
         return _parse_fraction(text)
@@ -100,59 +104,6 @@ class Rationals:
         return {"kind": self.kind}
 
 
-class GFElement:
-    """A residue modulo a fixed prime, stored as its representative in [0, p)."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def _check(self, other) -> "GFElement":
-        if not isinstance(other, GFElement):
-            raise FieldMismatch(f"cannot combine GF({self.p}) element with {other!r}")
-        if other.p != self.p:
-            raise FieldMismatch(f"mixed prime fields GF({self.p}) and GF({other.p})")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return GFElement(self.p, self.v + other.v)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return GFElement(self.p, self.v - other.v)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return GFElement(self.p, self.v * other.v)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inverse()
-
-    def __neg__(self):
-        return GFElement(self.p, -self.v)
-
-    def inverse(self) -> "GFElement":
-        if self.v == 0:
-            raise DivisionByZero(f"0 has no inverse in GF({self.p})")
-        return GFElement(self.p, pow(self.v, -1, self.p))
-
-    def __eq__(self, other):
-        return isinstance(other, GFElement) and other.p == self.p and other.v == self.v
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"GF({self.p})({self.v})"
-
-
 class PrimeField:
     """The prime field GF(p); ``p`` must pass the primality check."""
 
@@ -165,38 +116,35 @@ class PrimeField:
             raise ValueError(f"prime {p} exceeds the machine-word cap {MAX_PRIME}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.zero = GFElement(p, 0)
-        self.one = GFElement(p, 1)
+        self.p = self.characteristic = p
+        self.zero = 0
+        self.one = 1
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    def coerce(self, x) -> GFElement:
-        if isinstance(x, GFElement):
-            if x.p != self.p:
-                raise FieldMismatch(f"element of GF({x.p}) used in GF({self.p})")
-            return x
+    def coerce(self, x) -> int:
         if isinstance(x, int):
-            return GFElement(self.p, x)
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise DivisionByZero(f"denominator of {x} vanishes in GF({self.p})")
-            return GFElement(self.p, x.numerator) / GFElement(self.p, x.denominator)
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
-    def parse_scalar(self, text: str) -> GFElement:
+    def inv(self, c: int) -> int:
+        if c % self.p == 0:
+            raise DivisionByZero(f"0 has no inverse in GF({self.p})")
+        return pow(c, -1, self.p)
+
+    def parse_scalar(self, text: str) -> int:
         return self.coerce(_parse_fraction(text))
 
-    def format_scalar(self, c: GFElement) -> str:
-        return str(self.coerce(c).v)
+    def format_scalar(self, c: int) -> str:
+        return str(self.coerce(c))
 
-    def scalar_sign_split(self, c: GFElement) -> tuple[bool, str]:
-        return False, str(self.coerce(c).v)
+    def scalar_sign_split(self, c: int) -> tuple[bool, str]:
+        return False, str(self.coerce(c))
 
-    def sample_scalar(self, rng: random.Random) -> GFElement:
-        return GFElement(self.p, rng.randrange(self.p))
+    def sample_scalar(self, rng: random.Random) -> int:
+        return rng.randrange(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

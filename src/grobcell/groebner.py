@@ -22,12 +22,13 @@ met in a division has a larger degree and no field carries.  The tests keep
 a plain division on exponent tuples that rescans for the largest term as
 the reference this one must match, quotients and remainder.
 
-Scalars are ints mod p over GF(p).  Over QQ a coefficient enters as an int
-when its denominator is 1 and as a Fraction otherwise, and a quotient
-coefficient is brought back to an int whenever its denominator is 1, so a
-division with integer coefficients and monic divisors stays in int
-arithmetic.  A non-unit leading coefficient divides through Fraction, never
-through / on two ints.  Only the results become Poly values again.
+Over GF(p) the scalars are the Poly's own, ints in [0, p), so they cross
+the boundary unchanged.  Over QQ a coefficient enters as an int when its
+denominator is 1 and as a Fraction otherwise, and a quotient coefficient is
+brought back to an int whenever its denominator is 1, so a division with
+integer coefficients and monic divisors stays in int arithmetic.  A
+non-unit leading coefficient divides through Fraction, never through / on
+two ints.  Only the results become Poly values again.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class _PackedDivisors:
         for g in self.images:
             lead = max(g)
             lc = g[lead]
-            scale = pow(lc, -1, self.p) if self.p else lc
+            scale = field.inv(lc) if self.p else lc
             self.leads.append((lead, scale, [(m, c) for m, c in g.items() if m != lead]))
         zero = Poly.zero(field, nvars)
         self.zero = DivisionResult(tuple(zero for _ in divisors), zero)
@@ -101,14 +102,16 @@ class _PackedDivisors:
     def image(self, f: Poly) -> dict:
         pack = self.packing.pack
         if self.p:
-            return {pack(m): c.v for m, c in f.terms.items()}
+            return {pack(m): c for m, c in f.terms.items()}
         return {pack(m): c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
 
     def _poly(self, image: dict) -> Poly:
         unpack, coerce = self.packing.unpack, self.field.coerce
-        return Poly(
-            self.field, self.packing.nvars, {unpack(m): coerce(c) for m, c in image.items()}
-        )
+        if self.p:
+            terms = {unpack(m): c for m, c in image.items()}
+        else:
+            terms = {unpack(m): coerce(c) for m, c in image.items()}
+        return Poly(self.field, self.packing.nvars, terms)
 
     def divide(self, work: dict) -> DivisionResult:
         """Divide the image `work`, which is consumed.
@@ -167,9 +170,9 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     f._check_compatible(g)
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = mono_lcm(lf, lg)
-    one = f.field.one
-    return f.mul_term(mono_div(lcm, lf), one / f.leading_coeff()) - g.mul_term(
-        mono_div(lcm, lg), one / g.leading_coeff()
+    inv = f.field.inv
+    return f.mul_term(mono_div(lcm, lf), inv(f.leading_coeff())) - g.mul_term(
+        mono_div(lcm, lg), inv(g.leading_coeff())
     )
 
 

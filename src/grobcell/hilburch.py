@@ -16,10 +16,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cell import MonomialCell, hilbert_function, make_cell
-from .errors import BoundViolation, FieldMismatch, InternalError, LeadingTermMismatch
+from .errors import (
+    BoundViolation,
+    FieldMismatch,
+    InternalError,
+    LeadingTermMismatch,
+    MatrixTooLarge,
+)
 from .field import char_ok, field_from_json
 from .groebner import _PackedDivisors
 from .poly import Poly, _DrlPacking, format_poly, parse_poly
+
+
+# The largest number of columns a minor expansion takes.  Cost grows about
+# like t^3 even on the sparsest matrices (canonicalize of x^t, y takes about
+# 6 s at t = 300 and 19 s at t = 400), and the expansion recurses once per
+# column, so this also keeps it far below Python's recursion limit.
+MAX_MINOR_COLUMNS = 300
+
+
+def check_minor_columns(ncols: int):
+    if ncols > MAX_MINOR_COLUMNS:
+        raise MatrixTooLarge(
+            f"minor expansion over {ncols} columns exceeds the cap of {MAX_MINOR_COLUMNS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,14 +125,19 @@ class _MinorTable:
     shares.  No term of a minor has a larger total degree than the sum over
     columns of the largest entry degree, and the packing is as wide as that
     sum needs, so multiplying monomials is one int addition that never
-    carries.  Coefficients are ints: over QQ each row is scaled by the lcm
-    of its denominators, and a minor is divided by the product of the
-    scales of the rows it keeps when it is converted back; over GF(p) they
-    are residues mod p.  Only the minors handed back become Poly values
-    again.
+    carries.  Coefficients are ints: over GF(p) they are the Poly's own
+    residues in [0, p), taken and handed back unchanged; over QQ each row is
+    scaled by the lcm of its denominators, and a minor is divided by the
+    product of the scales of the rows it keeps when it is converted back.
+    Only the minors handed back become Poly values again.
+
+    The expansion recurses once per column, so a matrix with more than
+    MAX_MINOR_COLUMNS columns is refused up front.
     """
 
     def __init__(self, rows, field, nvars):
+        ncols = len(rows[0]) if rows else 0
+        check_minor_columns(ncols)
         for row in rows:
             for e in row:
                 if not isinstance(e, Poly):
@@ -125,7 +150,6 @@ class _MinorTable:
                     )
         self.field = field
         self.nvars = nvars
-        ncols = len(rows[0]) if rows else 0
         top = sum(
             max((sum(m) for row in rows for m in row[c].terms), default=0)
             for c in range(ncols)
@@ -142,7 +166,7 @@ class _MinorTable:
             ]
 
         def image(c, s):
-            return c.v if p else c.numerator * (s // c.denominator)
+            return c if p else c.numerator * (s // c.denominator)
 
         # columns[c][r]: entry (r, c) as {packed monomial: int coefficient}
         self.columns = [
@@ -197,17 +221,13 @@ class _MinorTable:
 
     def minor_poly(self, rowmask: int, cols: tuple) -> Poly:
         """The minor on the given rows and columns, back in Poly form."""
-        field, unpack = self.field, self.packing.unpack
+        unpack, minor = self.packing.unpack, self.minor(rowmask, cols)
         if self.modulus:
-            coeff = field.coerce
+            terms = {unpack(m): v for m, v in minor.items()}
         else:
             den = math.prod(s for r, s in enumerate(self.scales) if rowmask >> r & 1)
-            coeff = lambda v: Fraction(v, den)
-        return Poly(
-            field,
-            self.nvars,
-            {unpack(m): coeff(v) for m, v in self.minor(rowmask, cols).items()},
-        )
+            terms = {unpack(m): Fraction(v, den) for m, v in minor.items()}
+        return Poly(self.field, self.nvars, terms)
 
 
 def determinant(rows) -> Poly:

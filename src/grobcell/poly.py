@@ -4,8 +4,10 @@ Monomials are exponent tuples ordered degree-reverse-lexicographically with
 x > y > z: higher total degree wins, and ties go to the monomial with the
 smaller exponent in the last variable, recursively.  A polynomial stores a
 map from monomials to nonzero coefficients plus the field those
-coefficients live in.  Values are immutable once built, which is what
-lets a polynomial compute its leading monomial on first use and keep it.
+coefficients live in: Fractions over QQ, ints in [0, p) over GF(p), the
+format the packed kernel computes in, so every operation here reduces its
+results mod p.  Values are immutable once built, which is what lets a
+polynomial compute its leading monomial on first use and keep it.
 
 The one-variable ring is K[y] (entries of parameter matrices), the
 two-variable ring K[x, y] and the three-variable ring K[x, y, z].
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .errors import DivisionByZero, FieldMismatch, ZeroPolynomial
+from .errors import FieldMismatch, ZeroPolynomial
 
 VAR_NAMES = {1: ("y",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
@@ -124,12 +126,15 @@ class Poly:
 
     @classmethod
     def from_terms(cls, field, nvars: int, items) -> "Poly":
+        p = field.characteristic
         acc: dict = {}
         for mono, c in items:
             mono = tuple(mono)
             c = field.coerce(c)
             prev = acc.get(mono)
             c = c if prev is None else prev + c
+            if p:
+                c %= p
             if c:
                 acc[mono] = c
             else:
@@ -156,10 +161,13 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
+        p = self.field.characteristic
         acc = dict(self.terms)
         for mono, c in other.terms.items():
             prev = acc.get(mono)
             nc = c if prev is None else prev + c
+            if p:
+                nc %= p
             if nc:
                 acc[mono] = nc
             else:
@@ -168,10 +176,13 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
+        p = self.field.characteristic
         acc = dict(self.terms)
         for mono, c in other.terms.items():
             prev = acc.get(mono)
             nc = -c if prev is None else prev - c
+            if p:
+                nc %= p
             if nc:
                 acc[mono] = nc
             else:
@@ -179,10 +190,14 @@ class Poly:
         return Poly(self.field, self.nvars, acc)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
+        p = self.field.characteristic
+        return Poly(
+            self.field, self.nvars, {m: p - c if p else -c for m, c in self.terms.items()}
+        )
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
+        p = self.field.characteristic
         acc: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -190,6 +205,8 @@ class Poly:
                 c = c1 * c2
                 prev = acc.get(mono)
                 nc = c if prev is None else prev + c
+                if p:
+                    nc %= p
                 if nc:
                     acc[mono] = nc
                 else:
@@ -202,10 +219,11 @@ class Poly:
         if not c0:
             return Poly.zero(self.field, self.nvars)
         mono = tuple(mono)
+        p = self.field.characteristic
         return Poly(
             self.field,
             self.nvars,
-            {mono_mul(m, mono): c * c0 for m, c in self.terms.items()},
+            {mono_mul(m, mono): c * c0 % p if p else c * c0 for m, c in self.terms.items()},
         )
 
     def scale(self, coeff) -> "Poly":
@@ -214,9 +232,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ZeroPolynomial("the zero polynomial cannot be made monic")
-        lc = self.leading_coeff()
-        inv = self.field.one / lc
-        return self.scale(inv)
+        return self.scale(self.field.inv(self.leading_coeff()))
 
     # -- term access -----------------------------------------------------
 
@@ -304,36 +320,6 @@ def dehomogenize(F: Poly) -> Poly:
     if F.nvars != 3:
         raise ValueError("dehomogenization takes a polynomial in x, y and z")
     return Poly.from_terms(F.field, 2, (((a, b), c) for (a, b, _), c in F.terms.items()))
-
-
-def uni_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of univariate division in K[y]."""
-    if a.nvars != 1 or b.nvars != 1:
-        raise ValueError("univariate division requires polynomials in y alone")
-    if b.is_zero():
-        raise DivisionByZero("division by the zero polynomial")
-    a._check_compatible(b)
-    field = a.field
-    db = b.degree()
-    lb = b.leading_coeff()
-    q: dict = {}
-    r = dict(a.terms)
-    while r:
-        m = max(r, key=drl_key)
-        if m[0] < db:
-            break
-        qc = r[m] / lb
-        qm = (m[0] - db,)
-        q[qm] = qc
-        for m2, c2 in b.terms.items():
-            mm = (qm[0] + m2[0],)
-            prev = r.get(mm)
-            nc = -(qc * c2) if prev is None else prev - qc * c2
-            if nc:
-                r[mm] = nc
-            else:
-                r.pop(mm, None)
-    return Poly(field, 1, q), Poly(field, 1, r)
 
 
 # -- text form ------------------------------------------------------------

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from grobcell import QQ, Poly, check_membership, make_cell, parse_poly, sample
+from grobcell import QQ, IdealBasis, Poly, check_membership, make_cell, parse_poly, psi, sample
+from grobcell.poly import drl_key, mono_mul
 
 from oracles import enumerate_lex_segment_cells
 
@@ -128,3 +129,22 @@ def cells(draw, max_t=4):
     t = draw(st.integers(1, max_t))
     steps = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(t - 1)]
     return make_cell(list(itertools.accumulate([0] + steps)))
+
+
+def perturbed_basis(cell, field, seed):
+    """psi of a sampled matrix with f_i += c*mu*f_j, mu*lm(f_j) < lm(f_i):
+    the ideal and every leading term stay, so the basis stays certified but
+    is no psi output and its raw matrix needs reduction moves."""
+    rng = random.Random(seed)
+    fs = list(psi(sample(cell, field, seed)).polys)
+    for _ in range(4):
+        i, j = rng.randrange(len(fs)), rng.randrange(len(fs))
+        lm_i, lm_j = fs[i].leading_monomial(), fs[j].leading_monomial()
+        mus = [
+            mu for mu in itertools.product(range(3), range(4))
+            if drl_key(mono_mul(mu, lm_j)) < drl_key(lm_i)
+        ]
+        if mus:
+            c = field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+            fs[i] = fs[i] + fs[j].mul_term(rng.choice(mus), c)
+    return IdealBasis(cell, tuple(fs))

@@ -1,8 +1,12 @@
+import itertools
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grobcell import GF, QQ, make_cell, sample, zero_matrix
+from grobcell import GF, QQ, char_ok, hilbert_function, make_cell, sample, zero_matrix
 from grobcell.betti import (
     betti_numbers,
     block_matrix,
@@ -129,6 +133,33 @@ def test_betti_char_guard():
         betti_numbers(zero_matrix(cell, GF(2)))
     with pytest.raises(NotLexSegment):
         betti_numbers(zero_matrix(make_cell([0, 2, 2, 5]), QQ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_small_characteristic_guards(steps, p, seed):
+    # sample warns and betti_numbers refuses exactly when char_ok fails;
+    # otherwise the ranks over GF(p) behave as over QQ
+    cell = make_cell(list(itertools.accumulate([0] + steps)))
+    F = GF(p)
+    ok = char_ok(F, hilbert_function(cell))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        A = sample(cell, F, seed)
+    assert len(caught) == (0 if ok else 1)
+    if not ok:
+        for M in (A, zero_matrix(cell, F)):
+            with pytest.raises(CharTooSmall):
+                betti_numbers(M)
+        return
+    table = betti_numbers(A)
+    # minimal generators outnumber minimal syzygies by one (Hilbert-Burch)
+    assert sum(table.beta0.values()) == sum(table.beta1.values()) + 1
+    assert betti_numbers(zero_matrix(cell, F)) == betti_numbers(zero_matrix(cell, QQ))
 
 
 def test_betti_oracle_agreement_random():

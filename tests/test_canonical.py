@@ -25,7 +25,7 @@ from grobcell.hilburch import (
     param_matrix_from_strings,
     verify_groebner_property,
 )
-from grobcell.poly import drl_key, mono_mul, parse_poly
+from grobcell.poly import parse_poly
 
 from conftest import (
     EX3_A_ROWS,
@@ -36,6 +36,7 @@ from conftest import (
     EX3_RAW_MATRIX,
     M_EX1,
     cells,
+    perturbed_basis,
     with_fractions,
 )
 from oracles import enumerate_lex_segment_cells
@@ -60,25 +61,6 @@ def signed_minors(M):
     t = M.cell.t
     minors = maximal_minors(hb_matrix(M), M.field, 2)
     return [m if (t - i) % 2 == 0 else -m for i, m in enumerate(minors)]
-
-
-def perturbed_basis(cell, field, seed):
-    """psi of a sampled matrix with f_i += c*mu*f_j, mu*lm(f_j) < lm(f_i):
-    the ideal and every leading term stay, so the basis stays certified but
-    is no psi output and its raw matrix needs reduction moves."""
-    rng = random.Random(seed)
-    fs = list(psi(sample(cell, field, seed)).polys)
-    for _ in range(4):
-        i, j = rng.randrange(len(fs)), rng.randrange(len(fs))
-        lm_i, lm_j = fs[i].leading_monomial(), fs[j].leading_monomial()
-        mus = [
-            mu for mu in itertools.product(range(3), range(4))
-            if drl_key(mono_mul(mu, lm_j)) < drl_key(lm_i)
-        ]
-        if mus:
-            c = field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
-            fs[i] = fs[i] + fs[j].mul_term(rng.choice(mus), c)
-    return IdealBasis(cell, tuple(fs))
 
 
 def prepare_basis(gens, cell):

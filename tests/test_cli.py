@@ -207,6 +207,32 @@ def test_zero_denominator_is_input_error(tmp_path, command, field_flags):
     assert err == "error[DIVISION_BY_ZERO]: zero denominator in '1/0'\n"
 
 
+def test_psi_rejects_matrix_past_minor_cap(tmp_path):
+    # t = 1100 columns: the cofactor expansion would recurse past Python's
+    # recursion limit, so the matrix is refused as input
+    t = 1100
+    path = tmp_path / "A.json"
+    path.write_text(
+        json.dumps({"m": [0] + [1] * t, "entries": [["0"] * t for _ in range(t + 1)]})
+    )
+    code, out, err = invoke(["psi", "--matrix", str(path), "--json"])
+    assert code == 2 and out == ""
+    assert err == (
+        "error[MATRIX_TOO_LARGE]: minor expansion over 1100 columns exceeds the cap of 300\n"
+    )
+
+
+def test_canonicalize_rejects_cell_past_minor_cap(tmp_path):
+    # x^1200, y lies in the cell with t = 1200, whose psi it would expand
+    path = tmp_path / "gens.txt"
+    path.write_text("x^1200\ny\n")
+    code, out, err = invoke(["canonicalize", "--gens", str(path)])
+    assert code == 2 and out == ""
+    assert err == (
+        "error[MATRIX_TOO_LARGE]: minor expansion over 1200 columns exceeds the cap of 300\n"
+    )
+
+
 def test_psi_homogeneous(ex3_matrix_file):
     code, out, _ = invoke(["psi", "--matrix", ex3_matrix_file, "--homogeneous"])
     assert code == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from grobcell import GF, QQ, char_ok, is_prime, make_cell
+from grobcell import GF, QQ, Poly, char_ok, is_prime, make_cell
 from grobcell.cell import hilbert_function
 from grobcell.errors import DivisionByZero, FieldMismatch
 
@@ -25,25 +25,30 @@ def test_rational_normalization_is_idempotent():
 
 def test_prime_field_inverse():
     F7 = GF(7)
-    assert F7.coerce(3).inverse() == F7.coerce(5)
-    assert F7.coerce(3) * F7.coerce(5) == F7.one
+    assert F7.inv(F7.coerce(3)) == F7.coerce(5)
+    assert F7.coerce(F7.coerce(3) * F7.coerce(5)) == F7.one
     with pytest.raises(DivisionByZero):
-        F7.zero.inverse()
+        F7.inv(F7.zero)
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(DivisionByZero):
+        QQ.inv(QQ.zero)
 
 
 def test_prime_field_values_canonical():
     F7 = GF(7)
-    assert F7.coerce(-1).v == 6
-    assert F7.coerce(15).v == 1
+    assert F7.coerce(-1) == 6 and type(F7.coerce(-1)) is int
+    assert F7.coerce(15) == 1
     assert F7.format_scalar(F7.coerce(-3)) == "4"
     assert F7.parse_scalar("1/3") == F7.coerce(5)
+    assert (F7.zero, F7.one) == (0, 1)
 
 
 def test_field_mismatch_detected():
+    # scalars are plain ints and Fractions; the field lives on the polynomial
     with pytest.raises(FieldMismatch):
-        GF(7).coerce(2) + GF(11).coerce(2)
+        Poly.constant(GF(7), 1, 2) + Poly.constant(GF(11), 1, 2)
     with pytest.raises(FieldMismatch):
-        GF(7).coerce(2) + Fraction(1)
+        Poly.constant(GF(7), 1, 2) + Poly.constant(QQ, 1, 1)
 
 
 def test_primality_check():
@@ -59,6 +64,7 @@ def test_primality_check():
 
 @pytest.mark.parametrize("field", [QQ, GF(97)])
 def test_field_axioms_random(field):
+    # over GF(97) on constant polynomials, which reduce their ints mod p
     rng = random.Random(12345)
 
     def rand_elem():
@@ -66,15 +72,19 @@ def test_field_axioms_random(field):
             num = rng.randint(-50, 50)
             den = rng.randint(1, 50)
             return Fraction(num, den)
-        return field.coerce(rng.randrange(97))
+        return Poly.constant(field, 1, rng.randrange(97))
 
+    one = field.one if field is QQ else Poly.constant(field, 1, field.one)
     for _ in range(10_000):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         if a:
-            inv = (field.one / a) if field is QQ else a.inverse()
-            assert a * inv == field.one
+            if field is QQ:
+                inv = field.inv(a)
+            else:
+                inv = Poly.constant(field, 1, field.inv(a.leading_coeff()))
+            assert a * inv == one
 
 
 def test_char_ok():

@@ -87,6 +87,8 @@ def _drl_greater(u, v):
 def rescanning_divide(f, divisors):
     """Reference division: rescan the working polynomial for its DRL-largest
     term at every step; ties go to the leftmost divisor."""
+    field = f.field
+    p = field.characteristic
     lts = [(g.leading_monomial(), g.leading_coeff()) for g in divisors]
     work = dict(f.terms)
     quots = [dict() for _ in divisors]
@@ -97,13 +99,17 @@ def rescanning_divide(f, divisors):
         for k, (gm, gc) in enumerate(lts):
             if mono_divides(gm, mono):
                 qm = mono_div(mono, gm)
-                qc = coeff / gc
+                qc = coeff * field.inv(gc)
                 prev = quots[k].get(qm)
                 quots[k][qm] = qc if prev is None else prev + qc
+                if p:
+                    quots[k][qm] %= p
                 for m2, c2 in divisors[k].terms.items():
                     mm = mono_mul(qm, m2)
                     prev = work.get(mm)
                     nc = -(qc * c2) if prev is None else prev - qc * c2
+                    if p:
+                        nc %= p
                     if nc:
                         work[mm] = nc
                     else:
@@ -326,7 +332,7 @@ def test_buchberger_matches_sympy_groebner():
     def to_sympy(f):
         scalar = (
             (lambda c: sympy.Rational(c.numerator, c.denominator))
-            if f.field is QQ else (lambda c: c.v)
+            if f.field is QQ else (lambda c: c)
         )
         return sympy.Add(*[scalar(c) * x**a * y**b for (a, b), c in f.terms.items()])
 

@@ -13,9 +13,11 @@ from grobcell.errors import (
     DivisionByZero,
     FieldMismatch,
     LeadingTermMismatch,
+    MatrixTooLarge,
 )
 from grobcell.groebner import divide
 from grobcell.hilburch import (
+    MAX_MINOR_COLUMNS,
     IdealBasis,
     critical_reductions,
     determinant,
@@ -125,6 +127,20 @@ def test_determinant_trivial():
         [parse_poly("-x", QQ, 2), parse_poly("y", QQ, 2)],
     ]
     assert determinant(rows) == parse_poly("y^3", QQ, 2)
+
+
+def test_minor_expansion_column_cap():
+    # the expansion recurses once per column: at the cap it still runs
+    # under the test runner's deeper stack, one column more is refused
+    one, zero = Poly.constant(QQ, 2, 1), Poly.zero(QQ, 2)
+    n = MAX_MINOR_COLUMNS
+    identity = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    assert determinant(identity) == one
+    wide = [[zero] * (n + 1) for _ in range(n + 2)]
+    with pytest.raises(MatrixTooLarge):
+        determinant(wide[1:])
+    with pytest.raises(MatrixTooLarge):
+        maximal_minors(wide, QQ, 2)
 
 
 def random_poly_matrix(rng, field, nvars, n, coeff):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from grobcell import GF, QQ
 from grobcell.errors import FieldMismatch, ZeroPolynomial
+from grobcell.groebner import divide
 from grobcell.poly import (
     Poly,
     _DrlPacking,
@@ -17,7 +18,6 @@ from grobcell.poly import (
     mono_divides,
     mono_mul,
     parse_poly,
-    uni_divmod,
     variable,
 )
 
@@ -240,13 +240,16 @@ def test_embed():
 
 
 def test_uni_divmod_random():
+    # division by one polynomial in K[y] is Euclidean division
     rng = random.Random(31)
-    for _ in range(500):
-        a = random_poly(rng, QQ, 1, max_deg=9, max_terms=5)
-        b = random_poly(rng, QQ, 1, max_deg=4, max_terms=4)
+    for k in range(1000):
+        field = QQ if k % 2 == 0 else GF(101)
+        a = random_poly(rng, field, 1, max_deg=9, max_terms=5)
+        b = random_poly(rng, field, 1, max_deg=4, max_terms=4)
         if b.is_zero():
             continue
-        q, r = uni_divmod(a, b)
+        res = divide(a, [b])
+        (q,), r = res.quotients, res.remainder
         assert q * b + r == a
         assert r.degree() < b.degree()
 
