@@ -27,7 +27,7 @@ from .errors import (
     NonTerminationGuard,
     WrongInitialIdeal,
 )
-from .groebner import GroebnerBasis, buchberger, divide, initial_ideal
+from .groebner import GroebnerBasis, _PackedDivisors, buchberger, divide, initial_ideal
 from .hilburch import (
     IdealBasis,
     ParamMatrix,
@@ -104,19 +104,22 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
     no support monomial of the S-polynomial is divisible by x^(t+1)."""
     cell = basis.cell
     field = basis.polys[0].field
+    packed, reductions = critical_reductions(basis)
+    # A packed monomial of K[x, y] has x = 0 exactly when its x field is 0.
+    xmask, unpack, coerce = packed.packing.xmask, packed.packing.unpack, field.coerce
     cols = []
-    for i, res in enumerate(critical_reductions(basis), 1):
-        if not res.remainder.is_zero():
+    for i, (quots, rem) in enumerate(reductions, 1):
+        if rem:
             raise InternalReductionFailure(
                 f"critical S-polynomial {i} does not reduce to zero"
             )
         col = []
-        for j, q in enumerate(res.quotients):
-            if any(m[0] != 0 for m in q.terms):
+        for j, q in enumerate(quots):
+            if any(m & xmask for m in q):
                 raise InternalError(
-                    f"syzygy quotient on f_{j} is not univariate: {q}"
+                    f"syzygy quotient on f_{j} is not univariate: {packed.poly(q)}"
                 )
-            col.append(-Poly(field, 1, {(m[1],): c for m, c in q.terms.items()}))
+            col.append(-Poly(field, 1, {(unpack(m)[1],): coerce(c) for m, c in q.items()}))
         cols.append(col)
     rows = tuple(tuple(c[r] for c in cols) for r in range(cell.t + 1))
     M = ParamMatrix(cell, field, rows)
@@ -274,10 +277,10 @@ def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis) -> IdealBasis:
     regenerated = psi(A)
     if not verify_groebner_property(regenerated):
         raise InternalError("regenerated basis lost the Groebner property")
-    for g in gb.elements:
-        if not divide(g, regenerated.polys).remainder.is_zero():
-            raise InternalError("canonical matrix presents a different ideal")
-    for f in regenerated.polys:
-        if not divide(f, gb.elements).remainder.is_zero():
+    polys, elements = regenerated.polys, gb.elements
+    top = max(f.degree() for f in polys + elements)
+    for dividends, divisors in ((elements, polys), (polys, elements)):
+        packed = _PackedDivisors(divisors[0], top, divisors)
+        if any(packed.divide(packed.image(f)) for f in dividends):
             raise InternalError("canonical matrix presents a different ideal")
     return regenerated

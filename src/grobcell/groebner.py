@@ -1,14 +1,13 @@
 """Division with quotient tracking, S-polynomials, Buchberger's algorithm,
 reduced Groebner bases and initial ideals.
 
-Everything here is deliberately plain: the normal selection strategy plus
-the coprimality and chain criteria, nothing else.  This module doubles as
-the independent oracle for the rest of the package, so auditability beats
-cleverness.  Two heaps only spare rescans: Buchberger computes each pair's
-key once, when the pair is created, and pops pairs from a heap in the order
-the normal strategy gives; division draws the next term to treat from a
-heap of the monomials in the working polynomial, as in Monagan and Pearce,
-"Sparse polynomial division using a heap" (JSC 2011).
+The algorithms are the plain ones: the normal selection strategy plus the
+coprimality and chain criteria, nothing else.  Two heaps only spare
+rescans: Buchberger computes each pair's key once, when the pair is
+created, and pops pairs from a heap in the order the normal strategy gives;
+division draws the next term to treat from a heap of the monomials in the
+working polynomial, as in Monagan and Pearce, "Sparse polynomial division
+using a heap" (JSC 2011).
 
 Division runs on an image of its input in ints.  A monomial is one int of
 poly._DrlPacking, whose int order is DRL order, so the heap orders ints, a
@@ -22,13 +21,28 @@ met in a division has a larger degree and no field carries.  The tests keep
 a plain division on exponent tuples that rescans for the largest term as
 the reference this one must match, quotients and remainder.
 
+Buchberger holds G as one growing set of such images for the whole run.
+The same argument bounds the degrees per S-pair: every monomial met while
+building and reducing the S-polynomial of a pair has degree at most that of
+the pair's lcm.  So G is packed once, as wide as its generators need, and
+before each S-pair is built its lcm degree is checked against the packing's
+range; an lcm past it re-packs G into a packing whose range at least
+doubles, which happens O(log deg) times.  Each S-polynomial is built on the
+images, one int addition per term, and reduced by the same heap loop, which
+then writes no quotient; minimalization and tail reduction run on the
+images too, and only the returned basis becomes Poly values.  Pair keys are
+drl_key tuples of exponent-tuple leading monomials, so re-packing never
+re-keys the pair heap.  The tests keep the Poly-level loop as the oracle
+this one must match (tests/oracles.py, plain_buchberger).
+
 Over GF(p) the scalars are the Poly's own, ints in [0, p), so they cross
 the boundary unchanged.  Over QQ a coefficient enters as an int when its
-denominator is 1 and as a Fraction otherwise, and a quotient coefficient is
-brought back to an int whenever its denominator is 1, so a division with
-integer coefficients and monic divisors stays in int arithmetic.  A
-non-unit leading coefficient divides through Fraction, never through / on
-two ints.  Only the results become Poly values again.
+denominator is 1 and as a Fraction otherwise, and a quotient coefficient,
+like every coefficient of a basis element made monic, is brought back to an
+int whenever its denominator is 1, so a division with integer coefficients
+and monic divisors stays in int arithmetic.  A non-unit leading coefficient
+divides through Fraction, never through / on two ints.  Only the results
+become Poly values again.
 """
 
 from __future__ import annotations
@@ -66,38 +80,54 @@ def divide(f: Poly, divisors) -> DivisionResult:
     divisors = list(divisors)
     top = max([f.degree(), 0] + [g.degree() for g in divisors])
     packed = _PackedDivisors(f, top, divisors)
-    return packed.divide(packed.image(f))
+    quots = [{} for _ in divisors]
+    rem = packed.divide(packed.image(f), quots=quots)
+    return DivisionResult(tuple(map(packed.poly, quots)), packed.poly(rem))
 
 
 class _PackedDivisors:
     """Divisors packed once, for any number of divisions of dividends packed
     the same way: monomials as ints of a _DrlPacking for degrees up to
     `top`, scalars as in the module docstring.  The divisors must be nonzero
-    and live in the ring of `f`.  `images` holds each divisor as
+    and live in the ring of `f`; `append` adds one more, already packed, and
+    `repack` widens the packing.  `images` holds each divisor as
     {packed monomial: scalar}."""
 
-    def __init__(self, f: Poly, top: int, divisors):
+    def __init__(self, f: Poly, top: int, divisors=()):
         for g in divisors:
             if g.is_zero():
                 raise DivisionByZero("division by a zero polynomial")
             f._check_compatible(g)
-        field, nvars = f.field, f.nvars
-        self.field = field
-        self.p = field.characteristic
-        self.packing = _DrlPacking(nvars, top)
-        self.images = [self.image(g) for g in divisors]
-        # Per divisor: its leading monomial (the largest int), the scalar
-        # that turns a coefficient into a quotient coefficient (the inverse
-        # of the leading coefficient mod p, over QQ the leading coefficient
-        # itself) and its other terms.
-        self.leads = []
-        for g in self.images:
-            lead = max(g)
-            lc = g[lead]
-            scale = field.inv(lc) if self.p else lc
-            self.leads.append((lead, scale, [(m, c) for m, c in g.items() if m != lead]))
-        zero = Poly.zero(field, nvars)
-        self.zero = DivisionResult(tuple(zero for _ in divisors), zero)
+        self.field = f.field
+        self.p = f.field.characteristic
+        self.packing = _DrlPacking(f.nvars, top)
+        self.images, self.leads = [], []
+        for g in divisors:
+            self.append(self.image(g))
+
+    def lead(self, image: dict) -> tuple:
+        """What division needs of a divisor: its leading monomial (the
+        largest int), the scalar that turns a coefficient into a quotient
+        coefficient (the inverse of the leading coefficient mod p, over QQ
+        the leading coefficient itself) and its other terms."""
+        lead = max(image)
+        lc = image[lead]
+        scale = self.field.inv(lc) if self.p else lc
+        return lead, scale, [(m, c) for m, c in image.items() if m != lead]
+
+    def append(self, image: dict):
+        """Add the image of a nonzero polynomial as the last divisor."""
+        self.images.append(image)
+        self.leads.append(self.lead(image))
+
+    def repack(self, top: int):
+        """Re-pack every divisor for degrees up to `top`; images of the old
+        packing mean nothing afterwards."""
+        old, new = self.packing, _DrlPacking(self.packing.nvars, top)
+        images = self.images
+        self.packing, self.images, self.leads = new, [], []
+        for g in images:
+            self.append({new.pack(old.unpack(m)): c for m, c in g.items()})
 
     def image(self, f: Poly) -> dict:
         pack = self.packing.pack
@@ -105,7 +135,7 @@ class _PackedDivisors:
             return {pack(m): c for m, c in f.terms.items()}
         return {pack(m): c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
 
-    def _poly(self, image: dict) -> Poly:
+    def poly(self, image: dict) -> Poly:
         unpack, coerce = self.packing.unpack, self.field.coerce
         if self.p:
             terms = {unpack(m): c for m, c in image.items()}
@@ -113,8 +143,39 @@ class _PackedDivisors:
             terms = {unpack(m): coerce(c) for m, c in image.items()}
         return Poly(self.field, self.packing.nvars, terms)
 
-    def divide(self, work: dict) -> DivisionResult:
-        """Divide the image `work`, which is consumed.
+    def monic(self, image: dict) -> dict:
+        """The nonzero image divided by its leading coefficient."""
+        lc = image[max(image)]
+        if self.p:
+            p, scale = self.p, self.field.inv(lc)
+            return {m: c * scale % p for m, c in image.items()}
+        out = {}
+        for m, c in image.items():
+            c = Fraction(c, lc)
+            out[m] = c.numerator if c.denominator == 1 else c
+        return out
+
+    def difference(self, i: int, si: int, j: int, sj: int) -> dict:
+        """The image of divisor i times the packed monomial si minus divisor
+        j times sj: a shift is one int addition per term."""
+        p = self.p
+        s = {m + si: c for m, c in self.images[i].items()}
+        for m, c in self.images[j].items():
+            m += sj
+            prev = s.get(m)
+            nc = -c if prev is None else prev - c
+            if p:
+                nc %= p
+            if nc:
+                s[m] = nc
+            else:
+                del s[m]
+        return s
+
+    def divide(self, work: dict, leads=None, quots=None) -> dict:
+        """Divide the image `work`, which is consumed, by `leads` (entries
+        made by `lead`; every divisor when None) and return the remainder.
+        Quotients are written only when `quots` is given, one dict per lead.
 
         The heap holds negated monomials, so it pops the DRL-largest first.
         A monomial is pushed when it enters `work`; an entry whose monomial
@@ -122,21 +183,20 @@ class _PackedDivisors:
         monomial never comes back, since every term a step adds is DRL-below
         it; so each quotient monomial is written once.
         """
-        if not work:
-            return self.zero
+        if leads is None:
+            leads = self.leads
         p = self.p
         heap = [-m for m in work]
         heapq.heapify(heap)
         heappop, heappush = heapq.heappop, heapq.heappush
         divides = self.packing.divides
-        quots = [dict() for _ in self.leads]
         rem: dict = {}
         while heap:
             mono = -heappop(heap)
             coeff = work.pop(mono, None)
             if coeff is None:
                 continue
-            for (lead, scale, tail), quot in zip(self.leads, quots):
+            for k, (lead, scale, tail) in enumerate(leads):
                 if divides(lead, mono):
                     qm = mono - lead
                     if p:
@@ -145,7 +205,8 @@ class _PackedDivisors:
                         qc = coeff if scale == 1 else Fraction(coeff, scale)
                         if type(qc) is Fraction and qc.denominator == 1:
                             qc = qc.numerator
-                    quot[qm] = qc
+                    if quots is not None:
+                        quots[k][qm] = qc
                     # The leading term cancels `mono`, already popped from work.
                     for m2, c2 in tail:
                         mm = qm + m2
@@ -162,7 +223,7 @@ class _PackedDivisors:
                     break
             else:
                 rem[mono] = coeff
-        return DivisionResult(tuple(self._poly(q) for q in quots), self._poly(rem))
+        return rem
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
@@ -187,38 +248,41 @@ class GroebnerBasis:
 
 def buchberger(gens) -> GroebnerBasis:
     """Buchberger's algorithm with the coprimality and chain criteria,
-    followed by interreduction to the unique reduced basis."""
-    G = [g.monic() for g in gens if not g.is_zero()]
-    if not G:
+    followed by interreduction to the unique reduced basis, on one packed
+    image of G (see the module docstring)."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         raise ValueError("need at least one nonzero generator")
-    field = G[0].field
-    for g in G:
-        G[0]._check_compatible(g)
+    G = _PackedDivisors(gens[0], max(g.degree() for g in gens))
+    lms: list = []  # leading monomials as exponent tuples, indexed like G
 
     # Normal strategy: the pair with the DRL-smallest lcm first, ties by
     # (i, j).  Leading monomials never change, so each key is final.
     pending: list = []
 
-    def add_pairs(new):
-        for k in range(new):
-            lcm = mono_lcm(G[k].leading_monomial(), G[new].leading_monomial())
-            heapq.heappush(pending, (drl_key(lcm), k, new))
+    def add(image):
+        G.append(G.monic(image))
+        lm = G.packing.unpack(G.leads[-1][0])
+        for k, lk in enumerate(lms):
+            heapq.heappush(pending, (drl_key(mono_lcm(lk, lm)), k, len(lms)))
+        lms.append(lm)
 
-    for new in range(1, len(G)):
-        add_pairs(new)
+    for g in gens:
+        gens[0]._check_compatible(g)
+        add(G.image(g))
     treated: set = set()
     while pending:
         _, i, j = heapq.heappop(pending)
         treated.add((i, j))
-        li, lj = G[i].leading_monomial(), G[j].leading_monomial()
+        li, lj = lms[i], lms[j]
         lcm = mono_lcm(li, lj)
         if lcm == mono_mul(li, lj):
             continue  # coprime leading terms
         chained = False
-        for k in range(len(G)):
+        for k in range(len(lms)):
             if k in (i, j):
                 continue
-            if mono_divides(G[k].leading_monomial(), lcm):
+            if mono_divides(lms[k], lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in treated and pjk in treated:
@@ -226,33 +290,39 @@ def buchberger(gens) -> GroebnerBasis:
                     break
         if chained:
             continue
-        r = divide(s_polynomial(G[i], G[j]), G).remainder
-        if not r.is_zero():
-            G.append(r.monic())
-            add_pairs(len(G) - 1)
+        if sum(lcm) > G.packing.max_degree:
+            G.repack(sum(lcm))
+        packed_lcm = G.packing.pack(lcm)
+        s = G.difference(i, packed_lcm - G.leads[i][0], j, packed_lcm - G.leads[j][0])
+        r = G.divide(s)
+        if r:
+            add(r)
 
     # Minimalize: keep only elements whose leading monomial no other kept
-    # leading monomial divides.
-    G.sort(key=lambda g: drl_key(g.leading_monomial()))
+    # leading monomial divides.  Int order of packed monomials is DRL order.
+    divides = G.packing.divides
     minimal = []
-    for g in G:
-        lm = g.leading_monomial()
-        if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
-            minimal.append(g)
+    for k in sorted(range(len(lms)), key=lambda k: G.leads[k][0]):
+        if not any(divides(G.leads[h][0], G.leads[k][0]) for h in minimal):
+            minimal.append(k)
+    images = [G.images[k] for k in minimal]
+    leads = [G.leads[k] for k in minimal]
 
     # Tail-reduce to a fixpoint; leading monomials never change here.
     changed = True
     while changed:
         changed = False
-        for idx, g in enumerate(minimal):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            r = divide(g, others).remainder if others else g
+        for idx, g in enumerate(images):
+            others = leads[:idx] + leads[idx + 1 :]
+            r = G.divide(dict(g), others) if others else g
             if r != g:
-                minimal[idx] = r.monic()
+                images[idx] = G.monic(r)
+                leads[idx] = G.lead(images[idx])
                 changed = True
 
-    minimal.sort(key=lambda g: drl_key(g.leading_monomial()), reverse=True)
-    return GroebnerBasis(tuple(minimal), field)
+    # The largest packed monomial of an image is its leading one.
+    images.sort(key=max, reverse=True)
+    return GroebnerBasis(tuple(map(G.poly, images)), G.field)
 
 
 def minimal_monomial_generators(monos) -> tuple:

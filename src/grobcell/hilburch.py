@@ -294,19 +294,22 @@ def verify_groebner_property(basis: IdealBasis) -> bool:
             )
         if f.leading_coeff() != field.one:
             raise LeadingTermMismatch(f"f_{i} must be monic")
-    return all(r.remainder.is_zero() for r in critical_reductions(basis))
+    _, reductions = critical_reductions(basis)
+    return not any(rem for _, rem in reductions)
 
 
 def critical_reductions(basis: IdealBasis):
-    """Yield, for i = 1..t, the division of the critical S-polynomial
-    y^(d_i) f_(i-1) - x f_i by f_0..f_t, equal to groebner.divide's.  The
-    basis is a Groebner basis exactly when every remainder is zero; then
-    the quotients give the columns of its Hilbert-Burch matrix.  Lazy, so a
-    caller can stop at the first nonzero remainder.
+    """Divide, for i = 1..t, the critical S-polynomial y^(d_i) f_(i-1) - x f_i
+    by f_0..f_t exactly as groebner.divide would.  The basis is a Groebner
+    basis exactly when every remainder is zero; then the quotients give the
+    columns of its Hilbert-Burch matrix.
 
-    f_0..f_t are packed once for all t divisions, wide enough for the
-    degree of every S-polynomial, and each S-polynomial is built on the
-    packed images, where multiplying by y^(d_i) or by x is one int
+    Returns f_0..f_t packed once (a groebner._PackedDivisors, wide enough
+    for the degree of every S-polynomial) and a lazy iterator over the t
+    divisions, so a caller can stop at the first nonzero remainder.  Each
+    division is a (quotients, remainder) pair of packed images, which
+    `packed.poly` turns into Poly values.  Each S-polynomial is built on
+    the packed images, where multiplying by y^(d_i) or by x is one int
     addition per term."""
     cell = basis.cell
     fs = basis.polys
@@ -316,22 +319,17 @@ def critical_reductions(basis: IdealBasis):
         default=0,
     )
     packed = _PackedDivisors(fs[0], top, fs)
-    p = packed.p
-    x = packed.packing.pack((1, 0))
-    for i in range(1, cell.t + 1):
-        y_d = packed.packing.pack((0, d[i - 1]))
-        s = {m + y_d: c for m, c in packed.images[i - 1].items()}
-        for m, c in packed.images[i].items():
-            m += x
-            prev = s.get(m)
-            nc = -c if prev is None else prev - c
-            if p:
-                nc %= p
-            if nc:
-                s[m] = nc
-            else:
-                del s[m]
-        yield packed.divide(s)
+    pack = packed.packing.pack
+    x = pack((1, 0))
+
+    def reductions():
+        for i in range(1, cell.t + 1):
+            quots = [{} for _ in fs]
+            s = packed.difference(i - 1, pack((0, d[i - 1])), i, x)
+            rem = packed.divide(s, quots=quots)
+            yield quots, rem
+
+    return packed, reductions()
 
 
 def sample(cell: MonomialCell, field, seed: int) -> ParamMatrix:

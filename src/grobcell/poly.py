@@ -64,12 +64,13 @@ class _DrlPacking:
     or a negative q, breaks the order.
     """
 
-    __slots__ = ("nvars", "weights", "xmask", "sshift", "smask", "dshift")
+    __slots__ = ("nvars", "max_degree", "weights", "xmask", "sshift", "smask", "dshift")
 
     def __init__(self, nvars: int, top: int):
         w = max(1, top.bit_length())
         b, mask = 1 << w, (1 << w) - 1
         self.nvars = nvars
+        self.max_degree = mask  # the largest total degree the fields hold
         self.weights = {1: (1,), 2: (b + 1, b), 3: (b * b + b + 1, b * b + b, b * b)}[nvars]
         # m & xmask, m >> sshift & smask and m >> dshift read x, x+y and deg.
         self.xmask, self.sshift, self.smask, self.dshift = {

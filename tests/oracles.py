@@ -4,6 +4,10 @@ compares the package against.  None of them is part of grobcell's API.
 * `enumerate_lex_segment_cells` lists every lex-segment cell up to a
   colength, for exhaustive sweeps.
 * `is_groebner` tests every S-polynomial, with no criterion.
+* `plain_buchberger` is Buchberger's algorithm on Poly values, the
+  reference `groebner.buchberger` on packed images must match exactly:
+  the same pairs in the same order, one `divide` per S-pair and per tail
+  reduction.
 * `homogenize_matrix` gives the weighted homogenization A^hom of A; the
   direct three-variable minors of X + A^hom check `psi_bar`.
 * `z_regular`, `ideal_homogenize` and `ideal_dehomogenize` check the
@@ -20,9 +24,25 @@ from __future__ import annotations
 
 from grobcell.cell import MonomialCell
 from grobcell.errors import ValidationError
-from grobcell.groebner import buchberger, divide, initial_ideal, s_polynomial
+import heapq
+
+from grobcell.groebner import (
+    GroebnerBasis,
+    buchberger,
+    divide,
+    initial_ideal,
+    s_polynomial,
+)
 from grobcell.hilburch import ParamMatrix
-from grobcell.poly import Poly, dehomogenize, homogenize
+from grobcell.poly import (
+    Poly,
+    dehomogenize,
+    drl_key,
+    homogenize,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 
 
 class NotHomogeneous(ValidationError):
@@ -67,6 +87,77 @@ def is_groebner(polys) -> bool:
             if not divide(s_polynomial(G[i], G[j]), G).remainder.is_zero():
                 return False
     return True
+
+
+def plain_buchberger(gens) -> GroebnerBasis:
+    """Buchberger's algorithm with the coprimality and chain criteria,
+    followed by interreduction to the unique reduced basis, all on Poly
+    values."""
+    G = [g.monic() for g in gens if not g.is_zero()]
+    if not G:
+        raise ValueError("need at least one nonzero generator")
+    field = G[0].field
+    for g in G:
+        G[0]._check_compatible(g)
+
+    # Normal strategy: the pair with the DRL-smallest lcm first, ties by
+    # (i, j).  Leading monomials never change, so each key is final.
+    pending: list = []
+
+    def add_pairs(new):
+        for k in range(new):
+            lcm = mono_lcm(G[k].leading_monomial(), G[new].leading_monomial())
+            heapq.heappush(pending, (drl_key(lcm), k, new))
+
+    for new in range(1, len(G)):
+        add_pairs(new)
+    treated: set = set()
+    while pending:
+        _, i, j = heapq.heappop(pending)
+        treated.add((i, j))
+        li, lj = G[i].leading_monomial(), G[j].leading_monomial()
+        lcm = mono_lcm(li, lj)
+        if lcm == mono_mul(li, lj):
+            continue  # coprime leading terms
+        chained = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if mono_divides(G[k].leading_monomial(), lcm):
+                pik = (min(i, k), max(i, k))
+                pjk = (min(j, k), max(j, k))
+                if pik in treated and pjk in treated:
+                    chained = True
+                    break
+        if chained:
+            continue
+        r = divide(s_polynomial(G[i], G[j]), G).remainder
+        if not r.is_zero():
+            G.append(r.monic())
+            add_pairs(len(G) - 1)
+
+    # Minimalize: keep only elements whose leading monomial no other kept
+    # leading monomial divides.
+    G.sort(key=lambda g: drl_key(g.leading_monomial()))
+    minimal = []
+    for g in G:
+        lm = g.leading_monomial()
+        if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
+            minimal.append(g)
+
+    # Tail-reduce to a fixpoint; leading monomials never change here.
+    changed = True
+    while changed:
+        changed = False
+        for idx, g in enumerate(minimal):
+            others = minimal[:idx] + minimal[idx + 1 :]
+            r = divide(g, others).remainder if others else g
+            if r != g:
+                minimal[idx] = r.monic()
+                changed = True
+
+    minimal.sort(key=lambda g: drl_key(g.leading_monomial()), reverse=True)
+    return GroebnerBasis(tuple(minimal), field)
 
 
 def minimalize_homogeneous(gens) -> dict:

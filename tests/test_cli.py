@@ -9,7 +9,6 @@ import pytest
 import grobcell.canonical
 from grobcell import IdealBasis, Poly, psi
 from grobcell.cli import run
-from grobcell.groebner import DivisionResult
 
 from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX3
 
@@ -137,10 +136,9 @@ def test_sample_trials_non_univariate_quotient_is_a_defect(monkeypatch):
     real = grobcell.canonical.critical_reductions
 
     def with_x_quotient(basis):
-        for res in real(basis):
-            q = res.quotients
-            x = Poly.monomial(q[0].field, 2, (1, 0))
-            yield DivisionResult((q[0] + x,) + q[1:], res.remainder)
+        packed, reductions = real(basis)
+        x = packed.packing.pack((1, 0))
+        return packed, (([{**q[0], x: 1}] + q[1:], rem) for q, rem in reductions)
 
     monkeypatch.setattr("grobcell.canonical.critical_reductions", with_x_quotient)
     code, out, err = invoke(
@@ -219,6 +217,20 @@ def test_psi_rejects_matrix_past_minor_cap(tmp_path):
     assert code == 2 and out == ""
     assert err == (
         "error[MATRIX_TOO_LARGE]: minor expansion over 1100 columns exceeds the cap of 300\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["psi", "verify"])
+def test_wide_matrix_refused_before_its_entries_are_parsed(tmp_path, command):
+    # the cap is checked on m alone, so an entry that would not parse is
+    # never reached
+    t = 301
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps({"m": [0] + [1] * t, "entries": [["y^^"]]}))
+    code, out, err = invoke([command, "--matrix", str(path)])
+    assert code == 2 and out == ""
+    assert err == (
+        "error[MATRIX_TOO_LARGE]: minor expansion over 301 columns exceeds the cap of 300\n"
     )
 
 

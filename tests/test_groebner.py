@@ -2,6 +2,7 @@ import heapq
 import itertools
 import random
 import types
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -28,8 +29,8 @@ from grobcell.poly import (
     parse_poly,
 )
 
-from conftest import EX3_GENS, M_EX1, M_EX3, with_fractions
-from oracles import NotHomogeneous, is_groebner, minimalize_homogeneous
+from conftest import EX3_GENS, M_EX1, M_EX3, cells, with_fractions
+from oracles import NotHomogeneous, is_groebner, minimalize_homogeneous, plain_buchberger
 
 
 def P(s, field=QQ):
@@ -363,3 +364,56 @@ def test_buchberger_matches_sympy_groebner():
         )
         assert buchberger(gens).elements == tuple(want), (cell.m, field)
     assert kinds == {(q, lex) for q in (True, False) for lex in (True, False)}
+
+
+def assert_same_basis(got, want):
+    """Equal elements with the same scalar type, coefficient by coefficient."""
+    assert got.field == want.field
+    assert got.elements == want.elements
+    for g, h in zip(got.elements, want.elements):
+        assert [type(c) for c in g.terms.values()] == [type(h.terms[m]) for m in g.terms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=cells(max_t=5),
+    field=st.sampled_from([QQ, GF(101)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_buchberger_matches_plain_buchberger(cell, field, seed):
+    """The packed Buchberger returns exactly the Poly-level one's basis on
+    random invertible recombinations of psi(A), lex-segment cells or not,
+    with fractional coefficients over QQ."""
+    rng = random.Random(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small characteristic
+        A = sample(cell, field, seed)
+    if field is QQ:
+        A = with_fractions(A, rng)
+    gens = recombine(list(psi(A).polys), rng)
+    assert_same_basis(buchberger(gens), plain_buchberger(gens))
+
+
+def test_buchberger_widens_packing(monkeypatch):
+    # The generators have degree 3, so G is first packed for degrees up to
+    # 3.  The S-pair of x^2*y and x*y^2 has an lcm of degree 4; that of
+    # x^2*y and y^3 has one of degree 5, and reducing it meets x^4, whose x
+    # exponent would carry out of a field packed for degree 3.
+    widened = []
+    repack = groebner_mod._PackedDivisors.repack
+
+    def spy(self, top):
+        widened.append((self.packing.max_degree, top))
+        repack(self, top)
+
+    monkeypatch.setattr(groebner_mod._PackedDivisors, "repack", spy)
+    for field in (QQ, GF(101)):
+        gens = [P("x^2*y-1", field), P("x*y^2-1", field)]
+        gb = buchberger(gens)
+        assert gb.elements == (P("y^3-1", field), P("x-y", field))
+        assert_same_basis(gb, plain_buchberger(gens))
+        gens = [P("x^2*y", field), P("y^3+x^2", field)]
+        gb = buchberger(gens)
+        assert gb.elements == (P("x^4", field), P("x^2*y", field), P("y^3+x^2", field))
+        assert_same_basis(gb, plain_buchberger(gens))
+    assert widened == [(3, 4), (3, 5)] * 2

@@ -82,6 +82,7 @@ def test_maps_keep_scalar_format(cell, field, seed):
     # a unit upper-triangular recombination: same ideal, no Groebner basis
     fs = basis.polys
     gens = [f + g.scale(2) for f, g in zip(fs, fs[1:])] + [fs[-1]]
+    assert_format(*buchberger(gens).elements)
     assert_matrix_format(canonicalize(gens, cell))
     M = extract_syzygies(_strip_x_t_tails(perturbed_basis(cell, field, seed)))
     assert_matrix_format(M)
