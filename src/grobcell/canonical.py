@@ -101,13 +101,19 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
     """The raw matrix A: column i is minus the quotients of the reduction of
     the i-th critical S-polynomial y^(d_i) f_(i-1) - x f_i, so the columns
     of X + A are syzygies of f_0..f_t.  The quotients land in K[y] because
-    no support monomial of the S-polynomial is divisible by x^(t+1)."""
+    no support monomial of the S-polynomial is divisible by x^(t+1).
+
+    Each entry is built once, negated, and its degree, the y exponent of
+    the quotient's largest packed monomial, is checked against the raw
+    bound on the way; a broken bound is raised after every remainder has
+    been seen to vanish, as _check_raw_bounds would raise it."""
     cell = basis.cell
     field = basis.polys[0].field
+    p, coerce = field.characteristic, field.coerce
     packed, reductions = critical_reductions(basis)
     # A packed monomial of K[x, y] has x = 0 exactly when its x field is 0.
-    xmask, unpack, coerce = packed.packing.xmask, packed.packing.unpack, field.coerce
-    cols = []
+    xmask, unpack = packed.packing.xmask, packed.packing.unpack
+    cols, broken = [], []
     for i, (quots, rem) in enumerate(reductions, 1):
         if rem:
             raise InternalReductionFailure(
@@ -115,16 +121,26 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
             )
         col = []
         for j, q in enumerate(quots):
+            if not q:
+                col.append(Poly.zero(field, 1))
+                continue
             if any(m & xmask for m in q):
                 raise InternalError(
                     f"syzygy quotient on f_{j} is not univariate: {packed.poly(q)}"
                 )
-            col.append(-Poly(field, 1, {(unpack(m)[1],): coerce(c) for m, c in q.items()}))
+            lm = (unpack(max(q))[1],)
+            if lm[0] > grade_bound(cell, j + 1, i):
+                broken.append((j + 1, i, lm[0]))
+            terms = {(unpack(m)[1],): p - c if p else -coerce(c) for m, c in q.items()}
+            col.append(Poly(field, 1, terms, lm))
         cols.append(col)
+    if broken:
+        i, j, deg = min(broken)
+        raise InternalError(
+            f"raw bound broken at ({i},{j}): deg {deg} > {grade_bound(cell, i, j)}"
+        )
     rows = tuple(tuple(c[r] for c in cols) for r in range(cell.t + 1))
-    M = ParamMatrix(cell, field, rows)
-    _check_raw_bounds(M)
-    return M
+    return ParamMatrix(cell, field, rows)
 
 
 def _check_raw_bounds(M: ParamMatrix):

@@ -1,13 +1,25 @@
 """Division with quotient tracking, S-polynomials, Buchberger's algorithm,
 reduced Groebner bases and initial ideals.
 
-The algorithms are the plain ones: the normal selection strategy plus the
-coprimality and chain criteria, nothing else.  Two heaps only spare
-rescans: Buchberger computes each pair's key once, when the pair is
-created, and pops pairs from a heap in the order the normal strategy gives;
-division draws the next term to treat from a heap of the monomials in the
-working polynomial, as in Monagan and Pearce, "Sparse polynomial division
-using a heap" (JSC 2011).
+Buchberger selects pairs by the sugar strategy of Giovini, Mora, Niesi,
+Robbiano and Traverso, "One sugar cube, please, or selection strategies in
+the Buchberger algorithm" (ISSAC 1991), and skips them by the coprimality
+and chain criteria, nothing else.  A generator's sugar is its degree, a
+pair's sugar is the larger of s_i + deg lcm - deg lm_i and s_j + deg lcm -
+deg lm_j, and a remainder keeps its pair's sugar, which tracks the degree
+the pair would have in the computation on the homogenized generators.  Pairs
+go smallest sugar first, then DRL-smallest lcm, then by index.  On
+homogeneous input the sugar of a pair is its lcm degree, so the order is
+the normal strategy's; on affine input the normal strategy follows lcm
+degree alone and can build remainders of a degree, and over QQ of a
+coefficient size, that the reduced basis never needs.  The reduced basis is
+unique, so the strategy changes the work, not the result.
+
+Two heaps only spare rescans: Buchberger computes each pair's key once,
+when the pair is created, and pops pairs from a heap; division draws the
+next term to treat from a heap of the monomials in the working polynomial,
+as in Monagan and Pearce, "Sparse polynomial division using a heap" (JSC
+2011).
 
 Division runs on an image of its input in ints.  A monomial is one int of
 poly._DrlPacking, whose int order is DRL order, so the heap orders ints, a
@@ -32,8 +44,9 @@ images, one int addition per term, and reduced by the same heap loop, which
 then writes no quotient; minimalization and tail reduction run on the
 images too, and only the returned basis becomes Poly values.  Pair keys are
 drl_key tuples of exponent-tuple leading monomials, so re-packing never
-re-keys the pair heap.  The tests keep the Poly-level loop as the oracle
-this one must match (tests/oracles.py, plain_buchberger).
+re-keys the pair heap.  The tests keep a Poly-level loop with the normal
+strategy as the oracle this one must match (tests/oracles.py,
+plain_buchberger): a different pair order that must reach the same basis.
 
 Over GF(p) the scalars are the Poly's own, ints in [0, p), so they cross
 the boundary unchanged.  Over QQ a coefficient enters as an int when its
@@ -136,12 +149,14 @@ class _PackedDivisors:
         return {pack(m): c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
 
     def poly(self, image: dict) -> Poly:
+        """The Poly of an image; its leading monomial is the largest int."""
         unpack, coerce = self.packing.unpack, self.field.coerce
         if self.p:
             terms = {unpack(m): c for m, c in image.items()}
         else:
             terms = {unpack(m): coerce(c) for m, c in image.items()}
-        return Poly(self.field, self.packing.nvars, terms)
+        lm = unpack(max(image)) if image else None
+        return Poly(self.field, self.packing.nvars, terms, lm)
 
     def monic(self, image: dict) -> dict:
         """The nonzero image divided by its leading coefficient."""
@@ -247,32 +262,38 @@ class GroebnerBasis:
 
 
 def buchberger(gens) -> GroebnerBasis:
-    """Buchberger's algorithm with the coprimality and chain criteria,
-    followed by interreduction to the unique reduced basis, on one packed
-    image of G (see the module docstring)."""
+    """Buchberger's algorithm with the sugar strategy and the coprimality
+    and chain criteria, followed by interreduction to the unique reduced
+    basis, on one packed image of G (see the module docstring)."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero generator")
     G = _PackedDivisors(gens[0], max(g.degree() for g in gens))
     lms: list = []  # leading monomials as exponent tuples, indexed like G
+    sugars: list = []  # indexed like G
 
-    # Normal strategy: the pair with the DRL-smallest lcm first, ties by
-    # (i, j).  Leading monomials never change, so each key is final.
+    # Sugar strategy: the pair of smallest sugar first, ties by the
+    # DRL-smaller lcm, then by (i, j).  Leading monomials and sugars never
+    # change, so each key is final.
     pending: list = []
 
-    def add(image):
+    def add(image, sugar):
         G.append(G.monic(image))
         lm = G.packing.unpack(G.leads[-1][0])
         for k, lk in enumerate(lms):
-            heapq.heappush(pending, (drl_key(mono_lcm(lk, lm)), k, len(lms)))
+            lcm = mono_lcm(lk, lm)
+            d = sum(lcm)
+            pair_sugar = max(sugars[k] + d - sum(lk), sugar + d - sum(lm))
+            heapq.heappush(pending, (pair_sugar, drl_key(lcm), k, len(lms)))
         lms.append(lm)
+        sugars.append(sugar)
 
     for g in gens:
         gens[0]._check_compatible(g)
-        add(G.image(g))
+        add(G.image(g), g.degree())
     treated: set = set()
     while pending:
-        _, i, j = heapq.heappop(pending)
+        sugar, _, i, j = heapq.heappop(pending)
         treated.add((i, j))
         li, lj = lms[i], lms[j]
         lcm = mono_lcm(li, lj)
@@ -296,7 +317,7 @@ def buchberger(gens) -> GroebnerBasis:
         s = G.difference(i, packed_lcm - G.leads[i][0], j, packed_lcm - G.leads[j][0])
         r = G.divide(s)
         if r:
-            add(r)
+            add(r, sugar)
 
     # Minimalize: keep only elements whose leading monomial no other kept
     # leading monomial divides.  Int order of packed monomials is DRL order.

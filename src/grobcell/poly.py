@@ -98,14 +98,14 @@ class Poly:
 
     __slots__ = ("field", "nvars", "terms", "_lm")
 
-    def __init__(self, field, nvars: int, terms: dict):
+    def __init__(self, field, nvars: int, terms: dict, lm: tuple = None):
         # Internal constructor: `terms` must already be normalized
         # (no zero coefficients, keys of length `nvars`) and is never
-        # written to afterwards.
+        # written to afterwards; `lm`, when given, is its leading monomial.
         self.field = field
         self.nvars = nvars
         self.terms = terms
-        self._lm = None  # leading monomial, cached by leading_monomial()
+        self._lm = lm  # leading monomial, cached by leading_monomial()
 
     @classmethod
     def zero(cls, field, nvars: int) -> "Poly":

@@ -148,3 +148,30 @@ def perturbed_basis(cell, field, seed):
             c = field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
             fs[i] = fs[i] + fs[j].mul_term(rng.choice(mus), c)
     return IdealBasis(cell, tuple(fs))
+
+
+def recombine(fs, rng):
+    """L*U*fs with L unit lower- and U unit upper-triangular scalar matrices
+    (off-diagonal entries in {-2, -1, 1, 2}): the same ideal, generators
+    that are no longer a Groebner basis."""
+    n = len(fs)
+    draw = lambda: rng.choice((-2, -1, 1, 2))
+    L = [[1 if i == j else (draw() if j < i else 0) for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else (draw() if j > i else 0) for j in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        g = Poly.zero(fs[0].field, 2)
+        for j in range(n):
+            c = sum(L[i][k] * U[k][j] for k in range(n))
+            if c:
+                g = g + fs[j].scale(c)
+        out.append(g)
+    return out
+
+
+def evens_recipe(t):
+    """The inverse-map input of the benchmark's `qq/` rungs on
+    m = (0, 2, ..., 2t), with seed 1 for both draws: A sampled over QQ and
+    the generators L*U*psi(A).  Returns (A, generators)."""
+    A = sample(make_cell(range(0, 2 * t + 1, 2)), QQ, 1)
+    return A, recombine(list(psi(A).polys), random.Random(1))

@@ -5,9 +5,10 @@ compares the package against.  None of them is part of grobcell's API.
   colength, for exhaustive sweeps.
 * `is_groebner` tests every S-polynomial, with no criterion.
 * `plain_buchberger` is Buchberger's algorithm on Poly values, the
-  reference `groebner.buchberger` on packed images must match exactly:
-  the same pairs in the same order, one `divide` per S-pair and per tail
-  reduction.
+  reference `groebner.buchberger` on packed images must match exactly: one
+  `divide` per S-pair and per tail reduction, pairs taken by the normal
+  strategy, so on affine input in another order than the sugar strategy
+  of `buchberger`, towards the same reduced basis.
 * `homogenize_matrix` gives the weighted homogenization A^hom of A; the
   direct three-variable minors of X + A^hom check `psi_bar`.
 * `z_regular`, `ideal_homogenize` and `ideal_dehomogenize` check the

@@ -1,13 +1,17 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grobcell import GF, QQ, canonicalize, make_cell, psi, sample, zero_matrix
+import grobcell.canonical as canonical_mod
 from grobcell.canonical import (
     _check_initial_ideal,
+    _check_raw_bounds,
     _find_violation,
     _prepare_from_gb,
     _strip_x_t_tails,
@@ -16,16 +20,22 @@ from grobcell.canonical import (
     grade_bound,
     reduction_move,
 )
-from grobcell.errors import InternalReductionFailure, MoveNotApplicable, WrongInitialIdeal
+from grobcell.errors import (
+    InternalError,
+    InternalReductionFailure,
+    MoveNotApplicable,
+    WrongInitialIdeal,
+)
 from grobcell.groebner import buchberger, divide, initial_ideal
 from grobcell.hilburch import (
     IdealBasis,
     hb_matrix,
     maximal_minors,
     param_matrix_from_strings,
+    param_matrix_to_json,
     verify_groebner_property,
 )
-from grobcell.poly import parse_poly
+from grobcell.poly import format_poly, parse_poly
 
 from conftest import (
     EX3_A_ROWS,
@@ -36,10 +46,13 @@ from conftest import (
     EX3_RAW_MATRIX,
     M_EX1,
     cells,
+    evens_recipe,
     perturbed_basis,
     with_fractions,
 )
 from oracles import enumerate_lex_segment_cells
+
+DATA = Path(__file__).parent / "data"
 
 
 def P(s):
@@ -120,6 +133,22 @@ def test_extract_syzygies_monomial_basis(ex1_cell):
     basis = psi(zero_matrix(ex1_cell, QQ))
     M = extract_syzygies(basis)
     assert all(a.is_zero() for row in M.entries for a in row)
+
+
+def test_extract_syzygies_reports_first_broken_raw_bound(ex3_cell, monkeypatch):
+    """extract_syzygies checks the raw bounds while it builds the columns,
+    and raises what _check_raw_bounds raises on the finished matrix: the
+    first broken slot in row-major order.  Slots (1,2) and (2,1) of the
+    example's raw matrix have degree 1; a column-by-column report would
+    name (2,1)."""
+    basis = example_basis(ex3_cell)
+    M = extract_syzygies(basis)
+    monkeypatch.setattr(canonical_mod, "grade_bound", lambda cell, i, j: 0 if i + j == 3 else 5)
+    with pytest.raises(InternalError) as want:
+        _check_raw_bounds(M)
+    with pytest.raises(InternalError, match=r"raw bound broken at \(1,2\): deg 1 > 0") as got:
+        extract_syzygies(basis)
+    assert str(got.value) == str(want.value)
 
 
 def test_reduction_move_worked_example_sequence(ex3_cell):
@@ -290,6 +319,20 @@ def test_canonicalize_from_scrambled_generators(ex3_gens, ex3_cell):
     ]
     A = canonicalize(scrambled, ex3_cell)
     assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
+
+
+@pytest.mark.parametrize("t", [8, 10])
+def test_canonicalize_past_the_coefficient_growth_cliff(t):
+    A, gens = evens_recipe(t)
+    assert canonicalize(gens) == A
+
+
+def test_evens10_data_is_the_recipe():
+    """tests/data/evens10_qq.* (the CI cliff guard's input and expected
+    matrix) are the t=10 recipe, formatted as the CLI reads and writes them."""
+    A, gens = evens_recipe(10)
+    assert (DATA / "evens10_qq.txt").read_text() == "".join(format_poly(g) + "\n" for g in gens)
+    assert json.loads((DATA / "evens10_qq.json").read_text()) == param_matrix_to_json(A)
 
 
 def test_canonical_matrix_worked_example(ex3_gens, ex3_cell):

@@ -29,7 +29,7 @@ from grobcell.poly import (
     parse_poly,
 )
 
-from conftest import EX3_GENS, M_EX1, M_EX3, cells, with_fractions
+from conftest import EX3_GENS, M_EX1, M_EX3, cells, evens_recipe, recombine, with_fractions
 from oracles import NotHomogeneous, is_groebner, minimalize_homogeneous, plain_buchberger
 
 
@@ -305,25 +305,6 @@ def test_zero_matrix_psi_is_staircase():
     assert all(len(f.terms) == 1 for f in basis.polys)
 
 
-def recombine(fs, rng):
-    """L*U*fs with L unit lower- and U unit upper-triangular scalar matrices
-    (off-diagonal entries in {-2, -1, 1, 2}): the same ideal, generators
-    that are no longer a Groebner basis."""
-    n = len(fs)
-    draw = lambda: rng.choice((-2, -1, 1, 2))
-    L = [[1 if i == j else (draw() if j < i else 0) for j in range(n)] for i in range(n)]
-    U = [[1 if i == j else (draw() if j > i else 0) for j in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        g = Poly.zero(fs[0].field, 2)
-        for j in range(n):
-            c = sum(L[i][k] * U[k][j] for k in range(n))
-            if c:
-                g = g + fs[j].scale(c)
-        out.append(g)
-    return out
-
-
 def test_buchberger_matches_sympy_groebner():
     """A second oracle that shares no code with this package: sympy's
     grevlex reduced basis, compared monic (and mod p over GF(p))."""
@@ -374,17 +355,41 @@ def assert_same_basis(got, want):
         assert [type(c) for c in g.terms.values()] == [type(h.terms[m]) for m in g.terms]
 
 
-@settings(max_examples=60, deadline=None)
+def random_curve(rng, field):
+    """A plane curve of degree 1 to 3 with random coefficients, fractional
+    over QQ, and a nonzero term of top degree."""
+    d = rng.randint(1, 3)
+    scalar = (
+        (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        if field is QQ else (lambda: rng.randrange(field.p))
+    )
+    a = rng.randint(0, d)
+    items = [((a, d - a), 1)]
+    items += [
+        ((i, j - i), scalar())
+        for j in range(d + 1) for i in range(j + 1) if rng.random() < 0.5
+    ]
+    return Poly.from_terms(field, 2, items)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     cell=cells(max_t=5),
     field=st.sampled_from([QQ, GF(101)]),
     seed=st.integers(0, 2**32 - 1),
+    curves=st.booleans(),
 )
-def test_buchberger_matches_plain_buchberger(cell, field, seed):
-    """The packed Buchberger returns exactly the Poly-level one's basis on
+def test_buchberger_matches_plain_buchberger(cell, field, seed, curves):
+    """The packed Buchberger, which takes pairs by sugar, returns exactly
+    the basis of the Poly-level one, which takes them by lcm alone: on
     random invertible recombinations of psi(A), lex-segment cells or not,
-    with fractional coefficients over QQ."""
+    with fractional coefficients over QQ, and on 2-3 random plane curves of
+    degree at most 3, affine input on which the two pair orders differ."""
     rng = random.Random(seed)
+    if curves:
+        gens = [random_curve(rng, field) for _ in range(rng.randint(2, 3))]
+        assert_same_basis(buchberger(gens), plain_buchberger(gens))
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small characteristic
         A = sample(cell, field, seed)
@@ -392,6 +397,30 @@ def test_buchberger_matches_plain_buchberger(cell, field, seed):
         A = with_fractions(A, rng)
     gens = recombine(list(psi(A).polys), rng)
     assert_same_basis(buchberger(gens), plain_buchberger(gens))
+
+
+def test_buchberger_has_no_coefficient_growth_cliff(monkeypatch):
+    """On the m=2i, t=8 recipe input over QQ the reduced basis has 9
+    elements with coefficients of at most 33 bits.  Pairs taken by lcm
+    alone appended 42 elements to G, with coefficients of up to 10,616
+    bits; taken by sugar, 17 of at most 33 bits."""
+    appended = []
+    append = groebner_mod._PackedDivisors.append
+
+    def spy(self, image):
+        appended.append(image)
+        append(self, image)
+
+    monkeypatch.setattr(groebner_mod._PackedDivisors, "append", spy)
+    _, gens = evens_recipe(8)
+    assert len(buchberger(gens).elements) == 9
+    assert len(appended) <= 20
+    bits = max(
+        max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        for image in appended
+        for c in map(Fraction, image.values())
+    )
+    assert bits <= 64
 
 
 def test_buchberger_widens_packing(monkeypatch):

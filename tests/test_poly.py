@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from grobcell import GF, QQ
 from grobcell.errors import FieldMismatch, ZeroPolynomial
-from grobcell.groebner import divide
+from grobcell.groebner import buchberger, divide
 from grobcell.poly import (
     Poly,
     _DrlPacking,
@@ -89,6 +89,12 @@ def test_leading_monomial_matches_rescan(data):
         results.append(homogenize(f))
     if nvars == 3:
         results.append(dehomogenize(f))
+    # results unpacked from the packed kernel carry the lead it read off
+    if g:
+        division = divide(f, [g])
+        results += [*division.quotients, division.remainder]
+    if f or g:
+        results += buchberger([f, g]).elements
     for r in results:
         check_leading_monomial(r)
 
