@@ -41,7 +41,6 @@ from .hilburch import (
     IdealBasis,
     ParamMatrix,
     check_membership,
-    hb_matrix,
     param_matrix_from_json,
     param_matrix_from_strings,
     param_matrix_to_json,
@@ -50,7 +49,7 @@ from .hilburch import (
     verify_groebner_property,
     zero_matrix,
 )
-from .poly import Poly, dehomogenize, format_poly, homogenize, parse_poly, variable
+from .poly import Poly, format_poly, homogenize, parse_poly, variable
 from .projective import HomIdealBasis, psi_bar
 
 __version__ = "0.1.0"
@@ -93,7 +92,6 @@ __all__ = [
     "IdealBasis",
     "ParamMatrix",
     "check_membership",
-    "hb_matrix",
     "param_matrix_from_json",
     "param_matrix_from_strings",
     "param_matrix_to_json",
@@ -102,7 +100,6 @@ __all__ = [
     "verify_groebner_property",
     "zero_matrix",
     "Poly",
-    "dehomogenize",
     "format_poly",
     "homogenize",
     "parse_poly",

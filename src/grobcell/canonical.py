@@ -27,7 +27,7 @@ from .errors import (
     NonTerminationGuard,
     WrongInitialIdeal,
 )
-from .groebner import GroebnerBasis, _PackedDivisors, buchberger, divide, initial_ideal
+from .groebner import GroebnerBasis, buchberger, divide, initial_ideal
 from .hilburch import (
     IdealBasis,
     ParamMatrix,
@@ -35,7 +35,6 @@ from .hilburch import (
     check_minor_columns,
     critical_reductions,
     psi,
-    verify_groebner_property,
 )
 from .poly import Poly, drl_key
 
@@ -229,8 +228,8 @@ def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
     """Return the admissible parameter matrix A with I_t(X+A) = (gens).
 
     The cell, when omitted, is inferred from the computed initial ideal.
-    The result is re-expanded through its minors and both generating sets
-    are reduced against each other before it is returned.
+    The result is re-expanded through its minors, and the reduced basis of
+    the input is reduced by them before it is returned.
     """
     return _canonicalize(gens, cell)[0]
 
@@ -289,14 +288,20 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
 
 
 def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis) -> IdealBasis:
-    """Check that psi(A) is a Groebner basis of the ideal of gb; return it."""
+    """Check that psi(A) is a Groebner basis of the ideal of gb; return it.
+
+    Dividing one way is enough.  Both are Groebner bases with initial ideal
+    I0: psi(A) by its leading terms and critical reductions, checked here,
+    gb by _check_initial_ideal or because I0 was inferred from it.  If gb
+    reduces to zero by psi(A), the ideal J of gb lies in the ideal J' of
+    psi(A); a g in J' outside J would leave a nonzero remainder by gb whose
+    leading term lies in in(J') = I0 = in(J), which no remainder can: so
+    J = J'.  Each element of gb has the leading term, so the degree, of
+    some f_i, which the certificate's packing holds."""
     regenerated = psi(A)
-    if not verify_groebner_property(regenerated):
+    packed, reductions = critical_reductions(regenerated)
+    if any(rem for _, rem in reductions):
         raise InternalError("regenerated basis lost the Groebner property")
-    polys, elements = regenerated.polys, gb.elements
-    top = max(f.degree() for f in polys + elements)
-    for dividends, divisors in ((elements, polys), (polys, elements)):
-        packed = _PackedDivisors(divisors[0], top, divisors)
-        if any(packed.divide(packed.image(f)) for f in dividends):
-            raise InternalError("canonical matrix presents a different ideal")
+    if any(packed.divide(packed.image(g)) for g in gb.elements):
+        raise InternalError("canonical matrix presents a different ideal")
     return regenerated

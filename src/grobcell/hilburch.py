@@ -4,7 +4,9 @@ the ideal basis given by the signed maximal minors of X + A.
 X is the (t+1) x t matrix with y^(d_i) on the diagonal and -x on the
 subdiagonal; its signed minors are the staircase monomials x^(t-i)y^(m_i).
 Adding an A whose entries respect the cell's degree bounds perturbs those
-minors into a basis f_0..f_t with the same leading terms.
+minors into a basis f_0..f_t with the same leading terms.  psi computes
+them as a characteristic polynomial and an adjugate over K[y], so its cost
+is polynomial in t.
 """
 
 from __future__ import annotations
@@ -14,24 +16,25 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .cell import MonomialCell, hilbert_function, make_cell
 from .errors import (
     BoundViolation,
-    FieldMismatch,
     InternalError,
     LeadingTermMismatch,
     MatrixTooLarge,
 )
 from .field import char_ok, field_from_json
 from .groebner import _PackedDivisors
-from .poly import Poly, _DrlPacking, format_poly, parse_poly
+from .poly import Poly, format_poly, parse_poly
 
 
-# The largest number of columns a minor expansion takes.  Cost grows about
-# like t^3 even on the sparsest matrices (canonicalize of x^t, y takes about
-# 6 s at t = 300 and 19 s at t = 400), and the expansion recurses once per
-# column, so this also keeps it far below Python's recursion limit.
+# The largest t whose maximal minors psi expands, so the widest cell that
+# psi, the commands that call it and canonicalize accept.  Their cost is
+# polynomial in t (on x^t, y at t = 300, psi takes about 0.17 s and
+# canonicalize 0.7 s, most of it in the t^2 slots the inverse map scans);
+# the cap bounds it until one is chosen from measured cost on dense cells.
 MAX_MINOR_COLUMNS = 300
 
 
@@ -102,171 +105,120 @@ def param_matrix_from_strings(cell: MonomialCell, field, string_rows) -> ParamMa
     return check_membership(cell, entries, field)
 
 
-def hb_matrix(A: ParamMatrix) -> list:
-    """The full (t+1) x t matrix X + A over K[x, y], as nested lists."""
-    cell, field = A.cell, A.field
-    t = cell.t
-    rows = [[A.entries[r][c].embed(2) for c in range(t)] for r in range(t + 1)]
-    for i in range(1, t + 1):
-        rows[i - 1][i - 1] = rows[i - 1][i - 1] + Poly.monomial(field, 2, (0, cell.d_of(i)))
-        rows[i][i - 1] = rows[i][i - 1] - Poly.monomial(field, 2, (1, 0))
-    return rows
+def _ky(f: Poly, scale: int, p: int) -> list:
+    """f in K[y] as a list of int coefficients, low degree first: its
+    residues over GF(p), over QQ the ints scale * f for a scale that clears
+    every denominator of f."""
+    out = [0] * (f.degree() + 1) if f.terms else []
+    for (e,), c in f.terms.items():
+        out[e] = c if p else c.numerator * (scale // c.denominator)
+    return out
 
 
-class _MinorTable:
-    """Memoized cofactor expansion over an integer image of the matrix.
-
-    Sub-minors are shared across every minor asked for via (row bitmask,
-    column tuple) keys.  The expansion column is the one with the most zero
-    entries left; the zero pattern is one row bitmask per column, so that
-    count is a popcount.
-
-    A monomial is one int of poly._DrlPacking, the DRL packing that division
-    shares.  No term of a minor has a larger total degree than the sum over
-    columns of the largest entry degree, and the packing is as wide as that
-    sum needs, so multiplying monomials is one int addition that never
-    carries.  Coefficients are ints: over GF(p) they are the Poly's own
-    residues in [0, p), taken and handed back unchanged; over QQ each row is
-    scaled by the lcm of its denominators, and a minor is divided by the
-    product of the scales of the rows it keeps when it is converted back.
-    Only the minors handed back become Poly values again.
-
-    The expansion recurses once per column, so a matrix with more than
-    MAX_MINOR_COLUMNS columns is refused up front.
-    """
-
-    def __init__(self, rows, field, nvars):
-        ncols = len(rows[0]) if rows else 0
-        check_minor_columns(ncols)
-        for row in rows:
-            for e in row:
-                if not isinstance(e, Poly):
-                    raise TypeError(f"expected a polynomial, got {e!r}")
-                if e.field != field:
-                    raise FieldMismatch(f"mixed coefficient fields {field} and {e.field}")
-                if e.nvars != nvars:
-                    raise ValueError(
-                        f"mixed polynomial rings ({nvars} vs {e.nvars} variables)"
-                    )
-        self.field = field
-        self.nvars = nvars
-        top = sum(
-            max((sum(m) for row in rows for m in row[c].terms), default=0)
-            for c in range(ncols)
-        )
-        self.packing = _DrlPacking(nvars, top)
-        pack = self.packing.pack
-        p = self.modulus = field.characteristic
-        if p:
-            self.scales = [1] * len(rows)
-        else:
-            self.scales = [
-                math.lcm(*(c.denominator for e in row for c in e.terms.values()))
-                for row in rows
-            ]
-
-        def image(c, s):
-            return c if p else c.numerator * (s // c.denominator)
-
-        # columns[c][r]: entry (r, c) as {packed monomial: int coefficient}
-        self.columns = [
-            [
-                {pack(m): image(v, s) for m, v in row[c].terms.items()}
-                for row, s in zip(rows, self.scales)
-            ]
-            for c in range(ncols)
-        ]
-        self.nonzero = [
-            sum(1 << r for r, e in enumerate(col) if e) for col in self.columns
-        ]
-        self.memo: dict = {(0, ()): {0: 1}}  # the empty minor is 1
-
-    def minor(self, rowmask: int, cols: tuple) -> dict:
-        """The minor on the rows set in rowmask and on cols, as
-        {packed monomial: int coefficient} over the scaled rows."""
-        key = (rowmask, cols)
-        acc = self.memo.get(key)
-        if acc is not None:
-            return acc
-        nonzero = self.nonzero
-        best_pos, best_zeros = 0, -1
-        for pos, c in enumerate(cols):
-            nz = (rowmask & ~nonzero[c]).bit_count()
-            if nz > best_zeros:
-                best_pos, best_zeros = pos, nz
-        c = cols[best_pos]
-        sub_cols = cols[:best_pos] + cols[best_pos + 1 :]
-        column, live = self.columns[c], nonzero[c]
-        acc = {}
-        rest, k = rowmask, 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if low & live:
-                cof = self.minor(rowmask ^ low, sub_cols)
-                sign = -1 if (k + best_pos) % 2 else 1
-                for m1, c1 in column[low.bit_length() - 1].items():
-                    c1 *= sign
-                    for m2, c2 in cof.items():
-                        m = m1 + m2
-                        acc[m] = acc.get(m, 0) + c1 * c2
-            k += 1
-        p = self.modulus
-        if p:
-            acc = {m: r for m, v in acc.items() if (r := v % p)}
-        else:
-            acc = {m: v for m, v in acc.items() if v}
-        self.memo[key] = acc
-        return acc
-
-    def minor_poly(self, rowmask: int, cols: tuple) -> Poly:
-        """The minor on the given rows and columns, back in Poly form."""
-        unpack, minor = self.packing.unpack, self.minor(rowmask, cols)
-        if self.modulus:
-            terms = {unpack(m): v for m, v in minor.items()}
-        else:
-            den = math.prod(s for r, s in enumerate(self.scales) if rowmask >> r & 1)
-            terms = {unpack(m): Fraction(v, den) for m, v in minor.items()}
-        return Poly(self.field, self.nvars, terms)
+def _addmul(acc: list, a: list, b: list) -> list:
+    """acc += a * b on coefficient lists; acc grows as needed."""
+    if len(a) > len(b):
+        a, b = b, a
+    n, lb = len(a) + len(b) - 1, len(b)
+    if len(acc) < n:
+        acc.extend([0] * (n - len(acc)))
+    for i, c in enumerate(a):
+        if c:
+            acc[i : i + lb] = map(add, acc[i : i + lb], [c * v for v in b])
+    return acc
 
 
-def determinant(rows) -> Poly:
-    """Exact determinant of a square matrix of polynomials."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        raise ValueError("empty matrix")
-    probe = rows[0][0]
-    if not isinstance(probe, Poly):
-        raise TypeError(f"expected a polynomial, got {probe!r}")
-    table = _MinorTable(rows, probe.field, probe.nvars)
-    return table.minor_poly((1 << n) - 1, tuple(range(n)))
+def _trim(a: list, p: int) -> list:
+    """a reduced mod p (when p) and without zero high coefficients."""
+    if p:
+        a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def maximal_minors(rows, field, nvars) -> list:
-    """For a (t+1) x t matrix: the t x t minor obtained by deleting each
-    row in turn, computed off one shared memo table."""
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    if nr != nc + 1 or any(len(r) != nc for r in rows):
-        raise ValueError("maximal minors expect one more row than columns")
-    table = _MinorTable(rows, field, nvars)
-    all_rows = (1 << nr) - 1
-    cols = tuple(range(nc))
-    return [table.minor_poly(all_rows ^ (1 << r), cols) for r in range(nr)]
+def _vec_mat(v: dict, rows, n: int, p: int, out: dict) -> dict:
+    """out + v * B over the leading n x n block of B, on sparse vectors
+    {index: coefficient list}; rows[i] lists the nonzeros (j, B[i][j]) of
+    row i by ascending j."""
+    for i, vi in v.items():
+        for j, b in rows[i]:
+            if j >= n:
+                break
+            _addmul(out.setdefault(j, []), vi, b)
+    return {j: a for j, a in ((j, _trim(a, p)) for j, a in out.items()) if a}
+
+
+def _charpoly(B, rows, p: int) -> list:
+    """p_0..p_t with det(x*I - B) = sum_k p_k x^k, by Berkowitz's
+    division-free recurrence (S. J. Berkowitz, IPL 18, 1984), so it holds
+    over GF(p) for every p; rows are the nonzeros of B as for _vec_mat.
+
+    With q the characteristic polynomial of the leading r x r block, highest
+    power first, and the next row and column split as [[B_r, c], [R, a]],
+    the next one is the Toeplitz matrix with first column
+    (1, -a, -R c, -R B_r c, ..., -R B_r^(r-1) c) applied to q."""
+    q = [[1]]
+    for r in range(len(B)):
+        toeplitz = [[1], [-v for v in B[r][r]]]
+        col = [[(0, B[i][r])] if B[i][r] else [] for i in range(r)]  # c, as r x 1 rows
+        w = {j: B[r][j] for j in range(r) if B[r][j]} if any(col) else {}
+        while w:  # w = R B_r^k
+            toeplitz.append([-v for v in _vec_mat(w, col, 1, p, {}).get(0, [])])
+            if len(toeplitz) == r + 2:
+                break
+            w = _vec_mat(w, rows, r, p, {})
+        q.append([])
+        for i in range(r + 1, 0, -1):  # downwards, so q[i - k] is still old
+            for k in range(1, min(i, len(toeplitz) - 1) + 1):
+                if toeplitz[k] and q[i - k]:
+                    _addmul(q[i], toeplitz[k], q[i - k])
+            q[i] = _trim(q[i], p)
+    return q[::-1]
 
 
 def psi(A: ParamMatrix) -> IdealBasis:
     """f_i = (-1)^(t-i) * det of (X+A) with row i+1 deleted.
 
-    The sign makes every f_i monic with leading term x^(t-i) y^(m_i)."""
+    The sign makes every f_i monic with leading term x^(t-i) y^(m_i).  Rows
+    2..t+1 of X + A are -x*I + B with B over K[y], and row 1 is r; then
+    f_0 = det(x*I - B) = sum_k p_k x^k, and for i >= 1 f_i is entry i of
+    r * adj(x*I - B) = sum_(k<t) x^k v_k, where v_(t-1) = r and
+    v_(k-1) = p_k r + v_k B.  Each product is one in K[y], on int
+    coefficient lists: residues over GF(p); over QQ, D*B and D*r for the
+    lcm D of the denominators of A, which turns the coefficient of x^k into
+    D^(t-k) times its value, divided out at the end."""
     cell, field = A.cell, A.field
     t = cell.t
-    minors = maximal_minors(hb_matrix(A), field, 2)
+    check_minor_columns(t)
+    p = field.characteristic
+    D = 1 if p else math.lcm(
+        *(c.denominator for row in A.entries for e in row for c in e.terms.values())
+    )
+    # X + A without its -x entries, rows 1..t+1
+    hb = [[_ky(e, D, p) for e in row] for row in A.entries]
+    for i in range(t):
+        hb[i][i] = _ky(A.entries[i][i] + Poly.monomial(field, 1, (cell.d_of(i + 1),)), D, p)
+    B, r = hb[1:], {j: e for j, e in enumerate(hb[0]) if e}
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in B]
+
+    coeffs = _charpoly(B, rows, p)
+    vs = [r]
+    for k in range(t - 1, 0, -1):
+        out = {j: _addmul([], coeffs[k], e) for j, e in r.items()}
+        vs.append(_vec_mat(vs[-1], rows, t, p, out))
+    vs.reverse()  # vs[k] = v_k
+
     polys = []
     for i in range(t + 1):
-        f = minors[i] if (t - i) % 2 == 0 else -minors[i]
+        entries = coeffs if i == 0 else [v.get(i - 1, ()) for v in vs]
+        terms = {
+            (k, e): c if p else Fraction(c, D ** (t - k))
+            for k, a in enumerate(entries)
+            for e, c in enumerate(a)
+            if c
+        }
+        f = Poly(field, 2, terms)
         expected = (t - i, cell.m[i])
         if f.is_zero() or f.leading_monomial() != expected or f.leading_coeff() != field.one:
             raise InternalError(
@@ -390,9 +342,6 @@ __all__ = [
     "check_membership",
     "zero_matrix",
     "param_matrix_from_strings",
-    "hb_matrix",
-    "determinant",
-    "maximal_minors",
     "psi",
     "verify_groebner_property",
     "sample",

@@ -316,13 +316,6 @@ def homogenize(f: Poly) -> Poly:
     return Poly(f.field, 3, {(a, b, d - a - b): c for (a, b), c in f.terms.items()})
 
 
-def dehomogenize(F: Poly) -> Poly:
-    """Substitute z = 1 into a polynomial in K[x,y,z]."""
-    if F.nvars != 3:
-        raise ValueError("dehomogenization takes a polynomial in x, y and z")
-    return Poly.from_terms(F.field, 2, (((a, b), c) for (a, b, _), c in F.terms.items()))
-
-
 # -- text form ------------------------------------------------------------
 
 

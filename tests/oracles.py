@@ -3,6 +3,9 @@ compares the package against.  None of them is part of grobcell's API.
 
 * `enumerate_lex_segment_cells` lists every lex-segment cell up to a
   colength, for exhaustive sweeps.
+* `hb_matrix` writes out X + A over K[x, y]; `permutation_determinant`
+  (Leibniz) and `maximal_minors` (Laplace) give the minors that `psi`
+  and `psi_bar` must equal.
 * `is_groebner` tests every S-polynomial, with no criterion.
 * `plain_buchberger` is Buchberger's algorithm on Poly values, the
   reference `groebner.buchberger` on packed images must match exactly: one
@@ -11,10 +14,10 @@ compares the package against.  None of them is part of grobcell's API.
   of `buchberger`, towards the same reduced basis.
 * `homogenize_matrix` gives the weighted homogenization A^hom of A; the
   direct three-variable minors of X + A^hom check `psi_bar`.
-* `z_regular`, `ideal_homogenize` and `ideal_dehomogenize` check the
-  projective lift: homogenizing a DRL Groebner basis gives a homogeneous
-  one, and z is a non-zero-divisor exactly when no minimal generator of
-  the initial ideal involves z.
+* `dehomogenize`, `z_regular`, `ideal_homogenize` and
+  `ideal_dehomogenize` check the projective lift: homogenizing a DRL
+  Groebner basis gives a homogeneous one, and z is a non-zero-divisor
+  exactly when no minimal generator of the initial ideal involves z.
 * `minimalize_homogeneous` counts a minimal homogeneous generating set per
   degree with Buchberger, the Groebner oracle for the Betti numbers.
 * `is_homogeneous`, `NotHomogeneous` and `NotGroebner` serve the checks
@@ -23,9 +26,13 @@ compares the package against.  None of them is part of grobcell's API.
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
+from operator import getitem, mul
+
 from grobcell.cell import MonomialCell
 from grobcell.errors import ValidationError
-import heapq
 
 from grobcell.groebner import (
     GroebnerBasis,
@@ -37,7 +44,6 @@ from grobcell.groebner import (
 from grobcell.hilburch import ParamMatrix
 from grobcell.poly import (
     Poly,
-    dehomogenize,
     drl_key,
     homogenize,
     mono_divides,
@@ -75,6 +81,47 @@ def enumerate_lex_segment_cells(max_colength: int) -> list:
 
     rec([0], 0)
     return out
+
+
+def hb_matrix(A: ParamMatrix) -> list:
+    """The full (t+1) x t matrix X + A over K[x, y], as nested lists."""
+    cell, field = A.cell, A.field
+    rows = [[e.embed(2) for e in row] for row in A.entries]
+    for i in range(1, cell.t + 1):
+        rows[i - 1][i - 1] = rows[i - 1][i - 1] + Poly.monomial(field, 2, (0, cell.d_of(i)))
+        rows[i][i - 1] = rows[i][i - 1] - Poly.monomial(field, 2, (1, 0))
+    return rows
+
+
+def permutation_determinant(rows) -> Poly:
+    """The determinant of a square matrix of polynomials by Leibniz's
+    expansion over all permutations."""
+    one = Poly.constant(rows[0][0].field, rows[0][0].nvars, 1)
+    acc = one - one
+    for perm in itertools.permutations(range(len(rows))):
+        prod = functools.reduce(mul, map(getitem, rows, perm), one)
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        acc = acc - prod if odd else acc + prod
+    return acc
+
+
+def maximal_minors(rows) -> list:
+    """For a (t+1) x t matrix of polynomials: the t x t minor left when
+    each row is deleted in turn, by Laplace expansion along the first
+    column left, memoized by the rows kept."""
+    t, one = len(rows[0]), Poly.constant(rows[0][0].field, rows[0][0].nvars, 1)
+
+    @functools.cache
+    def minor(kept):  # the rows kept, on the last len(kept) columns
+        acc = one - one if kept else one
+        for k, r in enumerate(kept):
+            if rows[r][t - len(kept)]:
+                term = rows[r][t - len(kept)] * minor(kept[:k] + kept[k + 1 :])
+                acc = acc - term if k % 2 else acc + term
+        return acc
+
+    every = tuple(range(t + 1))
+    return [minor(every[:r] + every[r + 1 :]) for r in range(t + 1)]
 
 
 def is_groebner(polys) -> bool:
@@ -235,6 +282,13 @@ def ideal_homogenize(polys) -> list:
     if not is_groebner(polys):
         raise NotGroebner("input basis fails the S-polynomial test")
     return [homogenize(f) for f in polys]
+
+
+def dehomogenize(F: Poly) -> Poly:
+    """Substitute z = 1 into a polynomial in K[x,y,z]."""
+    if F.nvars != 3:
+        raise ValueError("dehomogenization takes a polynomial in x, y and z")
+    return Poly.from_terms(F.field, 2, (((a, b), c) for (a, b, _), c in F.terms.items()))
 
 
 def ideal_dehomogenize(polys) -> list:

@@ -29,8 +29,6 @@ from grobcell.errors import (
 from grobcell.groebner import buchberger, divide, initial_ideal
 from grobcell.hilburch import (
     IdealBasis,
-    hb_matrix,
-    maximal_minors,
     param_matrix_from_strings,
     param_matrix_to_json,
     verify_groebner_property,
@@ -50,7 +48,7 @@ from conftest import (
     perturbed_basis,
     with_fractions,
 )
-from oracles import enumerate_lex_segment_cells
+from oracles import enumerate_lex_segment_cells, hb_matrix, maximal_minors
 
 DATA = Path(__file__).parent / "data"
 
@@ -72,7 +70,7 @@ def matrix_strings(M):
 
 def signed_minors(M):
     t = M.cell.t
-    minors = maximal_minors(hb_matrix(M), M.field, 2)
+    minors = maximal_minors(hb_matrix(M))
     return [m if (t - i) % 2 == 0 else -m for i, m in enumerate(minors)]
 
 
@@ -210,6 +208,16 @@ def test_canonicalize_monomials(ex1_cell):
 def test_canonicalize_wrong_initial_ideal(ex3_gens):
     with pytest.raises(WrongInitialIdeal):
         canonicalize(ex3_gens, make_cell(M_EX1))
+
+
+def test_canonicalize_catches_matrix_of_another_ideal(ex3_gens, ex3_cell, monkeypatch):
+    # an admissible matrix of the right cell whose minors are a Groebner
+    # basis with the right initial ideal: only the same-ideal division by
+    # psi(A) can tell that it presents another ideal
+    wrong = zero_matrix(ex3_cell, QQ)
+    monkeypatch.setattr(canonical_mod, "canonical_matrix", lambda basis: wrong)
+    with pytest.raises(InternalError, match="presents a different ideal"):
+        canonicalize(ex3_gens, ex3_cell)
 
 
 def test_round_trip_random():

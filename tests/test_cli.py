@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import grobcell.canonical
-from grobcell import IdealBasis, Poly, psi
+from grobcell import QQ, IdealBasis, Poly, psi, zero_matrix
 from grobcell.cli import run
 
 from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX3
@@ -301,6 +301,16 @@ def test_canonicalize_wrong_cell(ex3_gens_file):
         ["canonicalize", "--gens", ex3_gens_file, "--m", "0,5,7,11"]
     )
     assert code == 2 and "WRONG_INITIAL_IDEAL" in err
+
+
+def test_canonicalize_matrix_of_another_ideal_is_a_defect(ex3_gens_file, monkeypatch):
+    # an admissible matrix of the right cell, but of another ideal
+    monkeypatch.setattr(
+        "grobcell.canonical.canonical_matrix", lambda basis: zero_matrix(basis.cell, QQ)
+    )
+    code, out, err = invoke(["canonicalize", "--gens", ex3_gens_file])
+    assert code == 3 and out == ""
+    assert err == "defect[INTERNAL]: canonical matrix presents a different ideal\n"
 
 
 def test_betti_cli(tmp_path):

@@ -11,7 +11,6 @@ from grobcell.groebner import buchberger, divide
 from grobcell.poly import (
     Poly,
     _DrlPacking,
-    dehomogenize,
     drl_key,
     format_poly,
     homogenize,
@@ -22,7 +21,7 @@ from grobcell.poly import (
 )
 
 from conftest import EX3_GENS
-from oracles import is_homogeneous
+from oracles import dehomogenize, is_homogeneous
 
 
 def P(s, field=QQ, nvars=2):

@@ -5,19 +5,21 @@ import pytest
 from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
 from grobcell.errors import NotLexSegment
 from grobcell.groebner import buchberger, divide, initial_ideal
-from grobcell.hilburch import maximal_minors, param_matrix_from_strings
-from grobcell.poly import Poly, dehomogenize, homogenize, parse_poly
+from grobcell.hilburch import param_matrix_from_strings
+from grobcell.poly import Poly, homogenize, parse_poly
 from grobcell.projective import psi_bar
 
 from conftest import EX3_A_ROWS, with_fractions
 from oracles import (
     NotGroebner,
     NotHomogeneous,
+    dehomogenize,
     enumerate_lex_segment_cells,
     homogenize_matrix,
     ideal_dehomogenize,
     ideal_homogenize,
     is_homogeneous,
+    maximal_minors,
     z_regular,
 )
 
@@ -34,7 +36,7 @@ def hom_minors(A):
     for i in range(1, t + 1):
         rows[i - 1][i - 1] = rows[i - 1][i - 1] + Poly.monomial(field, 3, (0, cell.d_of(i), 0))
         rows[i][i - 1] = rows[i][i - 1] - Poly.monomial(field, 3, (1, 0, 0))
-    minors = maximal_minors(rows, field, 3)
+    minors = maximal_minors(rows)
     return [m if (t - i) % 2 == 0 else -m for i, m in enumerate(minors)]
 
 
