@@ -11,10 +11,12 @@ t critical S-polynomials, then shrinks oversized entries with paired
 row/column reduction moves until every slot satisfies the cell's degree
 bounds.
 
-The working matrix holds the K[y] entries of A alone, in a ParamMatrix
-that is admissible only once check_membership passes at the end; X stays
-implicit.  A move is a row and a column operation on X + A whose x terms
-cancel, so it is carried out as univariate updates of A.
+The working matrix holds the K[y] entries of A alone, in a ParamMatrix;
+X stays implicit.  One scan per matrix state, _find_violation, checks
+every entry against its raw bound and finds the next slot over its
+admissible bound, so the matrix it finds none in is the admissible result.
+A move is a row and a column operation on X + A whose x terms cancel, so
+it is carried out as univariate updates of A.
 """
 
 from __future__ import annotations
@@ -27,15 +29,8 @@ from .errors import (
     NonTerminationGuard,
     WrongInitialIdeal,
 )
-from .groebner import GroebnerBasis, buchberger, divide, initial_ideal
-from .hilburch import (
-    IdealBasis,
-    ParamMatrix,
-    check_membership,
-    check_minor_columns,
-    critical_reductions,
-    psi,
-)
+from .groebner import GroebnerBasis, _PackedDivisors, buchberger, divide, initial_ideal
+from .hilburch import IdealBasis, ParamMatrix, check_minor_columns, critical_reductions, psi
 from .poly import Poly, drl_key
 
 
@@ -78,21 +73,15 @@ def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell) -> IdealBasis:
 
 
 def _strip_x_t_tails(basis: IdealBasis) -> IdealBasis:
-    """Strip x^t-divisible monomials from the tails of f_1..f_t, killing the
-    DRL-largest offender first so the process terminates."""
+    """Strip x^t-divisible monomials from the tails of f_1..f_t: each f_i
+    that has one becomes its remainder by f_0, whose leading term is x^t.
+    The leading term of f_i has x-degree t - i < t, so it stays."""
     t = basis.cell.t
-    fs = list(basis.polys)
-    f0 = fs[0]
-    for i in range(1, t + 1):
-        f = fs[i]
-        while True:
-            offenders = [m for m in f.terms if m[0] >= t]
-            if not offenders:
-                break
-            worst = max(offenders, key=drl_key)
-            c = f.terms[worst]
-            f = f - f0.mul_term((worst[0] - t, worst[1]), c)
-        fs[i] = f
+    f0 = basis.polys[0]
+    fs = [f0] + [
+        divide(f, [f0]).remainder if any(m[0] >= t for m in f.terms) else f
+        for f in basis.polys[1:]
+    ]
     return IdealBasis(basis.cell, tuple(fs))
 
 
@@ -102,17 +91,16 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
     of X + A are syzygies of f_0..f_t.  The quotients land in K[y] because
     no support monomial of the S-polynomial is divisible by x^(t+1).
 
-    Each entry is built once, negated, and its degree, the y exponent of
-    the quotient's largest packed monomial, is checked against the raw
-    bound on the way; a broken bound is raised after every remainder has
-    been seen to vanish, as _check_raw_bounds would raise it."""
+    Each entry is built once, negated; its leading monomial is the y
+    exponent of the quotient's largest packed monomial.  The raw bounds
+    are checked by _find_violation, on this matrix and after every move."""
     cell = basis.cell
     field = basis.polys[0].field
     p, coerce = field.characteristic, field.coerce
     packed, reductions = critical_reductions(basis)
     # A packed monomial of K[x, y] has x = 0 exactly when its x field is 0.
     xmask, unpack = packed.packing.xmask, packed.packing.unpack
-    cols, broken = [], []
+    cols = []
     for i, (quots, rem) in enumerate(reductions, 1):
         if rem:
             raise InternalReductionFailure(
@@ -128,29 +116,11 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
                     f"syzygy quotient on f_{j} is not univariate: {packed.poly(q)}"
                 )
             lm = (unpack(max(q))[1],)
-            if lm[0] > grade_bound(cell, j + 1, i):
-                broken.append((j + 1, i, lm[0]))
             terms = {(unpack(m)[1],): p - c if p else -coerce(c) for m, c in q.items()}
             col.append(Poly(field, 1, terms, lm))
         cols.append(col)
-    if broken:
-        i, j, deg = min(broken)
-        raise InternalError(
-            f"raw bound broken at ({i},{j}): deg {deg} > {grade_bound(cell, i, j)}"
-        )
     rows = tuple(tuple(c[r] for c in cols) for r in range(cell.t + 1))
     return ParamMatrix(cell, field, rows)
-
-
-def _check_raw_bounds(M: ParamMatrix):
-    """Raw-bound check of the working matrix; a violation means a defect,
-    not bad input."""
-    cell = M.cell
-    for i in range(1, cell.t + 2):
-        for j in range(1, cell.t + 1):
-            deg, bound = M.entry(i, j).degree(), grade_bound(cell, i, j)
-            if deg > bound:
-                raise InternalError(f"raw bound broken at ({i},{j}): deg {deg} > {bound}")
 
 
 def reduction_move(M: ParamMatrix, i: int, j: int) -> ParamMatrix:
@@ -199,37 +169,44 @@ def reduction_move(M: ParamMatrix, i: int, j: int) -> ParamMatrix:
             for r in range(t + 1):
                 A[r][j - 2] = A[r][j - 2] + q * A[r][i - 2]
             A[i - 2][j - 2] = A[i - 2][j - 2] + q_y(i - 1)
-    out = ParamMatrix(cell, field, tuple(tuple(r) for r in A))
-    _check_raw_bounds(out)
-    return out
+    return ParamMatrix(cell, field, tuple(tuple(r) for r in A))
+
+
+def _scan_position(slot) -> tuple:
+    """Where the fixed discipline reaches slot (i, j): grow the validated
+    upper-left block; within each block check the last row right-to-left,
+    then the last column top-to-bottom."""
+    i, j = slot
+    return (i - 1, 0, -j) if i > j else (j, 1, i)
 
 
 def _find_violation(M: ParamMatrix):
-    """Scan in the fixed discipline: grow the validated upper-left block;
-    within each block check the last row right-to-left, then the last
-    column top-to-bottom.  Returns the first offending (i, j) or None."""
+    """The one bound scan of a working matrix: check every nonzero entry
+    against its raw bound, row-major, and return the slot over its
+    admissible bound that the fixed discipline reaches first, or None when
+    the matrix is admissible.  A broken raw bound means a defect, not bad
+    input; the first broken slot in row-major order is raised."""
     cell = M.cell
-    t = cell.t
-
-    def too_big(i, j):
-        return M.entry(i, j).degree() > cell.bound(i, j)
-
-    for s in range(1, t + 1):
-        for j in range(s, 0, -1):
-            if too_big(s + 1, j):
-                return (s + 1, j)
-        for i in range(1, s + 2):
-            if too_big(i, s):
-                return (i, s)
-    return None
+    over = []
+    for i, row in enumerate(M.entries, 1):
+        for j, a in enumerate(row, 1):
+            if not a:
+                continue
+            deg = a.degree()
+            bound = grade_bound(cell, i, j)
+            if deg > bound:
+                raise InternalError(f"raw bound broken at ({i},{j}): deg {deg} > {bound}")
+            if deg > cell.bound(i, j):
+                over.append((i, j))
+    return min(over, key=_scan_position, default=None)
 
 
 def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
     """Return the admissible parameter matrix A with I_t(X+A) = (gens).
 
     The cell, when omitted, is inferred from the computed initial ideal.
-    The result is re-expanded through its minors, and the reduced basis of
-    the input is reduced by them before it is returned.
+    The result is re-expanded through its minors, which are reduced by the
+    reduced basis of the input before it is returned.
     """
     return _canonicalize(gens, cell)[0]
 
@@ -259,10 +236,9 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
 
     Raises InternalReductionFailure exactly when a critical S-polynomial
     does not reduce to zero, that is when the basis is not a Groebner basis,
-    so on psi(A) this call is also the Groebner certificate.  That relies on
-    the x^t strip changing nothing there: for i >= 1, f_i deletes row i+1 of
-    X + A, so it can use at most t-1 of the subdiagonal -x entries, and no
-    term of f_i has x-degree t.
+    so on psi(A) this call is also the Groebner certificate.  The x^t strip
+    keeps the ideal and every leading term, so the stripped basis is a
+    Groebner basis exactly when the input is.
     """
     cell = basis.cell
     M = extract_syzygies(_strip_x_t_tails(basis))
@@ -274,34 +250,31 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
     )
     cap = 10 * (t + 1) * t * (max(max_raw, 0) + 1)
     moves = 0
-    while True:
-        slot = _find_violation(M)
-        if slot is None:
-            break
+    while (slot := _find_violation(M)) is not None:
         if moves >= cap:
             raise NonTerminationGuard(
                 f"exceeded {cap} reduction moves on {cell}; this is a defect"
             )
         M = reduction_move(M, *slot)
         moves += 1
-    return check_membership(cell, M.entries, M.field)
+    return M
 
 
 def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis) -> IdealBasis:
-    """Check that psi(A) is a Groebner basis of the ideal of gb; return it.
+    """Check that psi(A) generates the ideal J of gb; return psi(A).
 
-    Dividing one way is enough.  Both are Groebner bases with initial ideal
-    I0: psi(A) by its leading terms and critical reductions, checked here,
-    gb by _check_initial_ideal or because I0 was inferred from it.  If gb
-    reduces to zero by psi(A), the ideal J of gb lies in the ideal J' of
-    psi(A); a g in J' outside J would leave a nonzero remainder by gb whose
-    leading term lies in in(J') = I0 = in(J), which no remainder can: so
-    J = J'.  Each element of gb has the leading term, so the degree, of
-    some f_i, which the certificate's packing holds."""
+    gb is a Groebner basis of J with in(J) = I0, by _check_initial_ideal or
+    because I0 was inferred from it.  Let J' be the ideal of psi(A).  psi
+    checks that the leading terms of psi(A) are the staircase, so
+    I0 is contained in in(J').  Each f_i of psi(A) is divided by gb; zero
+    remainders give J' in J, so in(J') lies in in(J) = I0.  So in(J') =
+    in(J), and an ideal inside another with the same initial ideal is
+    equal to it: J' = J.  The divisors are packed once, as wide as the
+    largest degree among psi(A) and gb."""
     regenerated = psi(A)
-    packed, reductions = critical_reductions(regenerated)
-    if any(rem for _, rem in reductions):
-        raise InternalError("regenerated basis lost the Groebner property")
-    if any(packed.divide(packed.image(g)) for g in gb.elements):
+    fs = regenerated.polys
+    top = max(f.degree() for f in fs + gb.elements)
+    packed = _PackedDivisors(fs[0], top, gb.elements)
+    if any(packed.divide(packed.image(f)) for f in fs):
         raise InternalError("canonical matrix presents a different ideal")
     return regenerated

@@ -10,6 +10,7 @@ human-readable rendering of the same data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -324,6 +325,7 @@ def _cmd_strata_codim(args, out):
     return 0
 
 
+@functools.cache  # built on first use, then shared: parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grobcell",
@@ -402,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
     except ValidationError as exc:

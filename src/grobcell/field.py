@@ -80,9 +80,6 @@ class Rationals:
     def parse_scalar(self, text: str) -> Fraction:
         return _parse_fraction(text)
 
-    def format_scalar(self, c: Fraction) -> str:
-        return str(c)
-
     def scalar_sign_split(self, c: Fraction) -> tuple[bool, str]:
         """(is_negative, magnitude string) for rendering polynomials."""
         return c < 0, str(abs(c))
@@ -136,9 +133,6 @@ class PrimeField:
 
     def parse_scalar(self, text: str) -> int:
         return self.coerce(_parse_fraction(text))
-
-    def format_scalar(self, c: int) -> str:
-        return str(self.coerce(c))
 
     def scalar_sign_split(self, c: int) -> tuple[bool, str]:
         return False, str(self.coerce(c))

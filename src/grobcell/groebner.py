@@ -329,17 +329,16 @@ def buchberger(gens) -> GroebnerBasis:
     images = [G.images[k] for k in minimal]
     leads = [G.leads[k] for k in minimal]
 
-    # Tail-reduce to a fixpoint; leading monomials never change here.
-    changed = True
-    while changed:
-        changed = False
+    # Tail-reduce each element once by the other leads.  One pass is
+    # enough: leading monomials never change here, and whether a tail is
+    # reduced depends on the other leading monomials alone, so a reduced
+    # tail stays reduced while the elements after it are reduced.
+    if len(images) > 1:
         for idx, g in enumerate(images):
-            others = leads[:idx] + leads[idx + 1 :]
-            r = G.divide(dict(g), others) if others else g
+            r = G.divide(dict(g), leads[:idx] + leads[idx + 1 :])
             if r != g:
                 images[idx] = G.monic(r)
                 leads[idx] = G.lead(images[idx])
-                changed = True
 
     # The largest packed monomial of an image is its leading one.
     images.sort(key=max, reverse=True)

@@ -49,9 +49,11 @@ def check_minor_columns(ncols: int):
 class ParamMatrix:
     """A (t+1) x t matrix of univariate polynomials in y.
 
-    A value is admissible, the coordinates of one point of the cell, only
-    once check_membership has passed on it; the inverse map also keeps its
-    working matrix here, under the looser raw bounds, while it reduces it."""
+    A value is admissible, the coordinates of one point of the cell, when
+    every entry is within its cell.bound: check_membership checks that on
+    input, and canonical_matrix returns its working matrix, kept here under
+    the looser raw bounds while it is reduced, once _find_violation finds
+    no slot over its bound."""
 
     cell: MonomialCell
     field: object

@@ -267,18 +267,6 @@ class Poly:
 
     # -- ring changes ----------------------------------------------------
 
-    def embed(self, nvars: int) -> "Poly":
-        """View this polynomial in a larger ring: K[y] -> K[x,y] -> K[x,y,z]."""
-        if nvars == self.nvars:
-            return self
-        if nvars < self.nvars:
-            raise ValueError("can only embed into a larger ring")
-        if self.nvars == 1:
-            pad = lambda m: (0,) + m + (0,) * (nvars - 2)
-        else:  # 2 -> 3
-            pad = lambda m: m + (0,)
-        return Poly(self.field, nvars, {pad(m): c for m, c in self.terms.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)

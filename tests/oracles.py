@@ -3,6 +3,7 @@ compares the package against.  None of them is part of grobcell's API.
 
 * `enumerate_lex_segment_cells` lists every lex-segment cell up to a
   colength, for exhaustive sweeps.
+* `embed` views a polynomial in a ring with more variables.
 * `hb_matrix` writes out X + A over K[x, y]; `permutation_determinant`
   (Leibniz) and `maximal_minors` (Laplace) give the minors that `psi`
   and `psi_bar` must equal.
@@ -83,10 +84,23 @@ def enumerate_lex_segment_cells(max_colength: int) -> list:
     return out
 
 
+def embed(f: Poly, nvars: int) -> Poly:
+    """View f in a larger ring: K[y] -> K[x,y] -> K[x,y,z]."""
+    if nvars == f.nvars:
+        return f
+    if nvars < f.nvars:
+        raise ValueError("can only embed into a larger ring")
+    if f.nvars == 1:
+        pad = lambda m: (0,) + m + (0,) * (nvars - 2)
+    else:  # 2 -> 3
+        pad = lambda m: m + (0,)
+    return Poly(f.field, nvars, {pad(m): c for m, c in f.terms.items()})
+
+
 def hb_matrix(A: ParamMatrix) -> list:
     """The full (t+1) x t matrix X + A over K[x, y], as nested lists."""
     cell, field = A.cell, A.field
-    rows = [[e.embed(2) for e in row] for row in A.entries]
+    rows = [[embed(e, 2) for e in row] for row in A.entries]
     for i in range(1, cell.t + 1):
         rows[i - 1][i - 1] = rows[i - 1][i - 1] + Poly.monomial(field, 2, (0, cell.d_of(i)))
         rows[i][i - 1] = rows[i][i - 1] - Poly.monomial(field, 2, (1, 0))
@@ -253,7 +267,7 @@ def homogenize_matrix(A: ParamMatrix) -> tuple:
                 row.append(Poly.zero(field, 3))
                 continue
             zpow = cell.u(i, j) - int(a.degree())
-            row.append(homogenize(a.embed(2)).mul_term((0, 0, zpow), field.one))
+            row.append(homogenize(embed(a, 2)).mul_term((0, 0, zpow), field.one))
         out.append(tuple(row))
     return tuple(out)
 

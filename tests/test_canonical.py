@@ -11,9 +11,9 @@ from grobcell import GF, QQ, canonicalize, make_cell, psi, sample, zero_matrix
 import grobcell.canonical as canonical_mod
 from grobcell.canonical import (
     _check_initial_ideal,
-    _check_raw_bounds,
     _find_violation,
     _prepare_from_gb,
+    _scan_position,
     _strip_x_t_tails,
     canonical_matrix,
     extract_syzygies,
@@ -134,19 +134,25 @@ def test_extract_syzygies_monomial_basis(ex1_cell):
 
 
 def test_extract_syzygies_reports_first_broken_raw_bound(ex3_cell, monkeypatch):
-    """extract_syzygies checks the raw bounds while it builds the columns,
-    and raises what _check_raw_bounds raises on the finished matrix: the
-    first broken slot in row-major order.  Slots (1,2) and (2,1) of the
-    example's raw matrix have degree 1; a column-by-column report would
-    name (2,1)."""
-    basis = example_basis(ex3_cell)
-    M = extract_syzygies(basis)
+    """canonical_matrix checks the raw bounds of the extracted matrix in its
+    one bound scan and raises for the first broken slot in row-major order.
+    Slots (1,2) and (2,1) of the example's raw matrix have degree 1; a
+    column-by-column report would name (2,1), and the scan discipline of
+    the moves would reach (2,1) first."""
     monkeypatch.setattr(canonical_mod, "grade_bound", lambda cell, i, j: 0 if i + j == 3 else 5)
-    with pytest.raises(InternalError) as want:
-        _check_raw_bounds(M)
-    with pytest.raises(InternalError, match=r"raw bound broken at \(1,2\): deg 1 > 0") as got:
-        extract_syzygies(basis)
-    assert str(got.value) == str(want.value)
+    with pytest.raises(InternalError, match=r"^raw bound broken at \(1,2\): deg 1 > 0$"):
+        canonical_matrix(example_basis(ex3_cell))
+
+
+def test_scan_position_follows_the_discipline():
+    # grow the upper-left block; in block s, row s+1 right-to-left, then
+    # column s top-to-bottom, each slot once
+    for t in range(1, 7):
+        order = []
+        for s in range(1, t + 1):
+            order += [(s + 1, j) for j in range(s, 0, -1)] + [(i, s) for i in range(1, s + 1)]
+        slots = [(i, j) for i in range(1, t + 2) for j in range(1, t + 1)]
+        assert sorted(slots, key=_scan_position) == order
 
 
 def test_reduction_move_worked_example_sequence(ex3_cell):
@@ -180,7 +186,9 @@ def test_reduction_move_not_applicable(ex3_cell):
 def test_grade_bounds_hold_along_move_path(ex3_cell):
     M = extract_syzygies(example_basis(ex3_cell))
     for step in ((3, 2), (1, 3), (2, 3)):
-        M = reduction_move(M, *step)  # raises itself on a broken raw bound
+        # canonical_matrix checks these bounds after every move, through
+        # _find_violation; here they are checked slot by slot
+        M = reduction_move(M, *step)
         for i in range(1, ex3_cell.t + 2):
             for j in range(1, ex3_cell.t + 1):
                 a = M.entry(i, j)
@@ -218,6 +226,22 @@ def test_canonicalize_catches_matrix_of_another_ideal(ex3_gens, ex3_cell, monkey
     monkeypatch.setattr(canonical_mod, "canonical_matrix", lambda basis: wrong)
     with pytest.raises(InternalError, match="presents a different ideal"):
         canonicalize(ex3_gens, ex3_cell)
+
+
+def test_canonicalize_divides_critical_pairs_once(ex3_gens, ex3_cell, monkeypatch):
+    # the t critical reductions run on the prepared basis alone; the
+    # same-ideal check divides psi(A) by the reduced basis instead
+    calls = []
+    real = canonical_mod.critical_reductions
+
+    def spy(basis):
+        calls.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(canonical_mod, "critical_reductions", spy)
+    A = canonicalize(ex3_gens, ex3_cell)
+    assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
+    assert len(calls) == 1
 
 
 def test_round_trip_random():

@@ -8,7 +8,7 @@ import pytest
 
 import grobcell.canonical
 from grobcell import QQ, IdealBasis, Poly, psi, zero_matrix
-from grobcell.cli import run
+from grobcell.cli import build_parser, run
 
 from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX3
 
@@ -50,6 +50,10 @@ def test_cell_json():
     assert obj["bound_matrix"] == [[4, 4, 4], [1, 1, 1], [0, 1, 3], [-3, -2, 1]]
     assert obj["special_i"] == [1, 3] and obj["special_j"] == [1, 2, 3]
     assert obj["parameter_count"] == 30 and obj["dimension"] == 30
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_cell_human_mode():

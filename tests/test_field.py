@@ -11,14 +11,15 @@ from grobcell.errors import DivisionByZero, FieldMismatch
 def test_rational_arithmetic_is_exact():
     assert QQ.parse_scalar("2/4") + QQ.parse_scalar("1/4") == Fraction(3, 4)
     assert -QQ.coerce(-2) == Fraction(2)
-    assert QQ.format_scalar(Fraction(-3)) == "-3"
-    assert QQ.format_scalar(Fraction(7, 2)) == "7/2"
+    assert QQ.scalar_sign_split(Fraction(-3)) == (True, "3")
+    assert QQ.scalar_sign_split(Fraction(7, 2)) == (False, "7/2")
 
 
 def test_rational_normalization_is_idempotent():
     c = Fraction(2, -4)
     assert (c.numerator, c.denominator) == (-1, 2)
-    again = QQ.parse_scalar(QQ.format_scalar(c))
+    negative, magnitude = QQ.scalar_sign_split(c)
+    again = QQ.parse_scalar(("-" if negative else "") + magnitude)
     assert again == c
     assert (again.numerator, again.denominator) == (-1, 2)
 
@@ -38,7 +39,7 @@ def test_prime_field_values_canonical():
     F7 = GF(7)
     assert F7.coerce(-1) == 6 and type(F7.coerce(-1)) is int
     assert F7.coerce(15) == 1
-    assert F7.format_scalar(F7.coerce(-3)) == "4"
+    assert F7.scalar_sign_split(F7.coerce(-3)) == (False, "4")
     assert F7.parse_scalar("1/3") == F7.coerce(5)
     assert (F7.zero, F7.one) == (0, 1)
 

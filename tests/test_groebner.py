@@ -423,6 +423,28 @@ def test_buchberger_has_no_coefficient_growth_cliff(monkeypatch):
     assert bits <= 64
 
 
+def test_buchberger_tail_reduces_each_element_once(monkeypatch):
+    """Tail reduction divides each element of the minimal basis once by the
+    other leads; the only divisions given explicit leads are those.  In
+    the worked example's basis f_1 has a tail term x^3, which f_0 reduces,
+    and x^2 + y has the tail y, which y - 1 reduces."""
+    tail_calls = []
+    divide_packed = groebner_mod._PackedDivisors.divide
+
+    def spy(self, work, leads=None, quots=None):
+        if leads is not None:
+            tail_calls.append(len(leads))
+        return divide_packed(self, work, leads, quots)
+
+    monkeypatch.setattr(groebner_mod._PackedDivisors, "divide", spy)
+    for gens in ([P(s) for s in EX3_GENS], [P("x^2+y"), P("y-1")]):
+        tail_calls.clear()
+        gb = buchberger(gens)
+        assert_same_basis(gb, plain_buchberger(gens))
+        n = len(gb.elements)
+        assert n >= 2 and tail_calls == [n - 1] * n
+
+
 def test_buchberger_widens_packing(monkeypatch):
     # The generators have degree 3, so G is first packed for degrees up to
     # 3.  The S-pair of x^2*y and x*y^2 has an lcm of degree 4; that of

@@ -14,6 +14,7 @@ from oracles import (
     NotGroebner,
     NotHomogeneous,
     dehomogenize,
+    embed,
     enumerate_lex_segment_cells,
     homogenize_matrix,
     ideal_dehomogenize,
@@ -70,7 +71,7 @@ def test_hom_matrix_dehomogenizes_back(ex3_cell):
             if hom_entry.is_zero():
                 assert A.entry(i, j).is_zero()
             else:
-                assert dehomogenize(hom_entry) == A.entry(i, j).embed(2)
+                assert dehomogenize(hom_entry) == embed(A.entry(i, j), 2)
 
 
 def test_psi_bar_zero_matrix(ex1_cell):
@@ -147,7 +148,7 @@ def test_ideal_homogenize_monomials(ex1_cell):
         parse_poly(f"x^{ex1_cell.t - i}*y^{ex1_cell.m[i]}", QQ, 2)
         for i in range(ex1_cell.t + 1)
     ]
-    assert ideal_homogenize(gens) == [g.embed(3) for g in gens]
+    assert ideal_homogenize(gens) == [embed(g, 3) for g in gens]
 
 
 def test_ideal_homogenize_rejects_non_basis():
