@@ -21,6 +21,8 @@ it is carried out as univariate updates of A.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .cell import MonomialCell, cell_from_minimal_generators
 from .errors import (
     InternalError,
@@ -39,6 +41,20 @@ def grade_bound(cell: MonomialCell, i: int, j: int) -> int:
     less than the entry degree above the diagonal, the entry degree below."""
     u = cell.u(i, j)
     return u - 1 if i <= j else u
+
+
+def _max_raw_bound(cell: MonomialCell) -> int:
+    """The largest grade_bound over the t(t+1) slots (0 when t = 0), in
+    O(t): u(i, j) = a_i + b_j with a_i = i - m_(i-1) and b_j = m_j - j, so
+    column j's largest bound is b_j plus the larger of (the largest a_i
+    with i <= j) - 1 and the largest a_i with i > j."""
+    t, m = cell.t, cell.m
+    a = [i - m[i - 1] for i in range(1, t + 2)]  # a[k] is a_(k+1)
+    upto = list(accumulate(a, max))  # upto[k] = max(a[:k+1])
+    after = list(accumulate(reversed(a), max))[::-1]  # after[k] = max(a[k:])
+    return max(
+        (m[j] - j + max(upto[j - 1] - 1, after[j]) for j in range(1, t + 1)), default=0
+    )
 
 
 def _check_initial_ideal(gb: GroebnerBasis, cell: MonomialCell):
@@ -244,11 +260,7 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
     M = extract_syzygies(_strip_x_t_tails(basis))
 
     t = cell.t
-    max_raw = max(
-        (grade_bound(cell, i, j) for i in range(1, t + 2) for j in range(1, t + 1)),
-        default=0,
-    )
-    cap = 10 * (t + 1) * t * (max(max_raw, 0) + 1)
+    cap = 10 * (t + 1) * t * (max(_max_raw_bound(cell), 0) + 1)
     moves = 0
     while (slot := _find_violation(M)) is not None:
         if moves >= cap:
@@ -270,11 +282,14 @@ def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis) -> IdealBasis:
     remainders give J' in J, so in(J') lies in in(J) = I0.  So in(J') =
     in(J), and an ideal inside another with the same initial ideal is
     equal to it: J' = J.  The divisors are packed once, as wide as the
-    largest degree among psi(A) and gb."""
+    largest degree among psi(A) and gb, and primitive, so over QQ each
+    division is the remainder-only one in ints: only zero or not counts."""
     regenerated = psi(A)
     fs = regenerated.polys
     top = max(f.degree() for f in fs + gb.elements)
-    packed = _PackedDivisors(fs[0], top, gb.elements)
-    if any(packed.divide(packed.image(f)) for f in fs):
+    packed = _PackedDivisors(fs[0], top)
+    for g in gb.elements:
+        packed.append(packed.primitive(packed.image(g)))
+    if any(packed.divide(packed.primitive(packed.image(f))) for f in fs):
         raise InternalError("canonical matrix presents a different ideal")
     return regenerated

@@ -81,8 +81,12 @@ class Rationals:
         return _parse_fraction(text)
 
     def scalar_sign_split(self, c: Fraction) -> tuple[bool, str]:
-        """(is_negative, magnitude string) for rendering polynomials."""
-        return c < 0, str(abs(c))
+        """(is_negative, magnitude string) for rendering polynomials, as
+        c < 0 and str(abs(c)) give them, read off numerator and denominator."""
+        n, d = c.numerator, c.denominator
+        if d == 1:
+            return n < 0, str(abs(n))
+        return n < 0, f"{abs(n)}/{d}"
 
     def sample_scalar(self, rng: random.Random) -> Fraction:
         # Uniform on the integers -9..9, embedded in QQ.

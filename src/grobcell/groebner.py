@@ -49,18 +49,30 @@ strategy as the oracle this one must match (tests/oracles.py,
 plain_buchberger): a different pair order that must reach the same basis.
 
 Over GF(p) the scalars are the Poly's own, ints in [0, p), so they cross
-the boundary unchanged.  Over QQ a coefficient enters as an int when its
-denominator is 1 and as a Fraction otherwise, and a quotient coefficient,
-like every coefficient of a basis element made monic, is brought back to an
-int whenever its denominator is 1, so a division with integer coefficients
-and monic divisors stays in int arithmetic.  A non-unit leading coefficient
-divides through Fraction, never through / on two ints.  Only the results
-become Poly values again.
+the boundary unchanged, and Buchberger keeps G monic.  Over QQ a
+coefficient enters as an int when its denominator is 1 and as a Fraction
+otherwise.  A division that writes quotients is exact: a quotient
+coefficient is brought back to an int whenever its denominator is 1, and a
+non-unit leading coefficient divides through Fraction, never through / on
+two ints.  Buchberger needs no quotients and no particular scalar multiple
+of a remainder, so over QQ it stays fraction-free: G holds primitive
+images (denominators cleared, content divided out, leading coefficient
+positive), the S-polynomial of g_i and g_j with leading coefficients a_i and
+a_j and g = gcd(a_i, a_j) is (a_j/g) x^si g_i - (a_i/g) x^sj g_j, and each
+reduction step is a pseudo-step in ints (see _PackedDivisors.divide), with
+the content of a remainder removed once, when it joins G.  Every pseudo-step
+scales the working polynomial by a nonzero scalar and keeps its support, so
+it treats the same term with the same divisor as the exact step would: each
+remainder is a nonzero multiple of the exact one, and the leading
+monomials, sugars, criteria and reduced basis are the same.  Minimalization
+and tail reduction run on the primitive images, and only the returned
+elements are made monic and become Poly values again.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,13 +182,31 @@ class _PackedDivisors:
             out[m] = c.numerator if c.denominator == 1 else c
         return out
 
-    def difference(self, i: int, si: int, j: int, sj: int) -> dict:
-        """The image of divisor i times the packed monomial si minus divisor
-        j times sj: a shift is one int addition per term."""
+    def primitive(self, image: dict) -> dict:
+        """The scalar multiple of the nonzero image that Buchberger keeps:
+        over QQ the primitive one, with int coefficients, content 1 and a
+        positive leading coefficient; over GF(p), where every nonzero
+        scalar is a unit, the monic one."""
+        if self.p:
+            return self.monic(image)
+        den = math.lcm(*(c.denominator for c in image.values()))
+        image = {m: c.numerator * (den // c.denominator) for m, c in image.items()}
+        content = math.gcd(*image.values())
+        if image[max(image)] < 0:
+            content = -content
+        if content == 1:
+            return image
+        return {m: c // content for m, c in image.items()}
+
+    def difference(self, i: int, si: int, j: int, sj: int, ci: int = 1, cj: int = 1) -> dict:
+        """The image of ci times divisor i times the packed monomial si minus
+        cj times divisor j times sj: a shift is one int addition per term.
+        The int cofactors ci and cj are 1 over GF(p)."""
         p = self.p
-        s = {m + si: c for m, c in self.images[i].items()}
+        s = {m + si: c * ci for m, c in self.images[i].items()}
         for m, c in self.images[j].items():
             m += sj
+            c *= cj
             prev = s.get(m)
             nc = -c if prev is None else prev - c
             if p:
@@ -192,6 +222,16 @@ class _PackedDivisors:
         made by `lead`; every divisor when None) and return the remainder.
         Quotients are written only when `quots` is given, one dict per lead.
 
+        Over QQ without `quots` only the remainder is asked for, up to a
+        nonzero scalar, and `work` and the divisors must be int images (see
+        `primitive`).  A step is then a pseudo-step, which stays in ints:
+        with c the coefficient to cancel, a the divisor's leading
+        coefficient and g = gcd(a, c), it multiplies `work` and the
+        remainder so far by a/g and subtracts c/g times the shifted divisor.
+        Scaling keeps the support, so every step treats the same term with
+        the same divisor as the exact division, and the result is a nonzero
+        multiple of the exact remainder, with the same support.
+
         The heap holds negated monomials, so it pops the DRL-largest first.
         A monomial is pushed when it enters `work`; an entry whose monomial
         has since cancelled out of `work` is stale and skipped.  A treated
@@ -201,6 +241,7 @@ class _PackedDivisors:
         if leads is None:
             leads = self.leads
         p = self.p
+        pseudo = not p and quots is None
         heap = [-m for m in work]
         heapq.heapify(heap)
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -216,6 +257,12 @@ class _PackedDivisors:
                     qm = mono - lead
                     if p:
                         qc = coeff * scale % p
+                    elif pseudo:
+                        g = math.gcd(scale, coeff)
+                        qc, mult = coeff // g, scale // g
+                        if mult != 1:
+                            work = {m: c * mult for m, c in work.items()}
+                            rem = {m: c * mult for m, c in rem.items()}
                     else:
                         qc = coeff if scale == 1 else Fraction(coeff, scale)
                         if type(qc) is Fraction and qc.denominator == 1:
@@ -278,7 +325,7 @@ def buchberger(gens) -> GroebnerBasis:
     pending: list = []
 
     def add(image, sugar):
-        G.append(G.monic(image))
+        G.append(G.primitive(image))
         lm = G.packing.unpack(G.leads[-1][0])
         for k, lk in enumerate(lms):
             lcm = mono_lcm(lk, lm)
@@ -314,7 +361,10 @@ def buchberger(gens) -> GroebnerBasis:
         if sum(lcm) > G.packing.max_degree:
             G.repack(sum(lcm))
         packed_lcm = G.packing.pack(lcm)
-        s = G.difference(i, packed_lcm - G.leads[i][0], j, packed_lcm - G.leads[j][0])
+        # The leading coefficients; both are 1 over GF(p), where G is monic.
+        (lead_i, ai, _), (lead_j, aj, _) = G.leads[i], G.leads[j]
+        g = math.gcd(ai, aj)
+        s = G.difference(i, packed_lcm - lead_i, j, packed_lcm - lead_j, aj // g, ai // g)
         r = G.divide(s)
         if r:
             add(r, sugar)
@@ -337,12 +387,12 @@ def buchberger(gens) -> GroebnerBasis:
         for idx, g in enumerate(images):
             r = G.divide(dict(g), leads[:idx] + leads[idx + 1 :])
             if r != g:
-                images[idx] = G.monic(r)
+                images[idx] = G.primitive(r)
                 leads[idx] = G.lead(images[idx])
 
     # The largest packed monomial of an image is its leading one.
     images.sort(key=max, reverse=True)
-    return GroebnerBasis(tuple(map(G.poly, images)), G.field)
+    return GroebnerBasis(tuple(G.poly(G.monic(g)) for g in images), G.field)
 
 
 def minimal_monomial_generators(monos) -> tuple:

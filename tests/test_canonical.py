@@ -12,6 +12,7 @@ import grobcell.canonical as canonical_mod
 from grobcell.canonical import (
     _check_initial_ideal,
     _find_violation,
+    _max_raw_bound,
     _prepare_from_gb,
     _scan_position,
     _strip_x_t_tails,
@@ -142,6 +143,23 @@ def test_extract_syzygies_reports_first_broken_raw_bound(ex3_cell, monkeypatch):
     monkeypatch.setattr(canonical_mod, "grade_bound", lambda cell, i, j: 0 if i + j == 3 else 5)
     with pytest.raises(InternalError, match=r"^raw bound broken at \(1,2\): deg 1 > 0$"):
         canonical_matrix(example_basis(ex3_cell))
+
+
+def test_max_raw_bound_is_the_full_scan():
+    """The O(t) largest raw bound, which sizes the move cap, equals the
+    largest grade_bound over all t(t+1) slots: on every lex-segment cell of
+    colength at most 12, on the non-lex cell (0, 2, 2, 5) and on every cell
+    the `cells` strategy can draw with t <= 4."""
+    drawable = [
+        make_cell(list(itertools.accumulate([0, first] + list(rest))))
+        for t in range(1, 5)
+        for first in (1, 2, 3)
+        for rest in itertools.product(range(4), repeat=t - 1)
+    ]
+    for cell in enumerate_lex_segment_cells(12) + [make_cell([0, 2, 2, 5])] + drawable:
+        t = cell.t
+        full = max(grade_bound(cell, i, j) for i in range(1, t + 2) for j in range(1, t + 1))
+        assert _max_raw_bound(cell) == full, cell.m
 
 
 def test_scan_position_follows_the_discipline():
@@ -360,11 +378,14 @@ def test_canonicalize_past_the_coefficient_growth_cliff(t):
 
 
 def test_evens10_data_is_the_recipe():
-    """tests/data/evens10_qq.* (the CI cliff guard's input and expected
-    matrix) are the t=10 recipe, formatted as the CLI reads and writes them."""
-    A, gens = evens_recipe(10)
-    assert (DATA / "evens10_qq.txt").read_text() == "".join(format_poly(g) + "\n" for g in gens)
-    assert json.loads((DATA / "evens10_qq.json").read_text()) == param_matrix_to_json(A)
+    """tests/data/evens10_qq.* and evens16_qq.* (the CI guards' inputs and
+    expected matrices) are the t=10 and t=16 recipes, formatted as the CLI
+    reads and writes them."""
+    for t in (10, 16):
+        A, gens = evens_recipe(t)
+        text = "".join(format_poly(g) + "\n" for g in gens)
+        assert (DATA / f"evens{t}_qq.txt").read_text() == text
+        assert json.loads((DATA / f"evens{t}_qq.json").read_text()) == param_matrix_to_json(A)
 
 
 def test_canonical_matrix_worked_example(ex3_gens, ex3_cell):

@@ -15,6 +15,16 @@ def test_rational_arithmetic_is_exact():
     assert QQ.scalar_sign_split(Fraction(7, 2)) == (False, "7/2")
 
 
+def test_rational_sign_split_matches_fraction_rendering():
+    """The sign and magnitude read off numerator and denominator are those
+    of c < 0 and str(abs(c)), byte for byte."""
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(12), Fraction(-12)]
+    values += [Fraction(n, d) for n in (-22, -7, -1, 1, 7, 22) for d in (2, 3, 9)]
+    values += [Fraction(-(10**30) - 1, 10**20), Fraction(2**70, 3)]
+    for c in values:
+        assert QQ.scalar_sign_split(c) == (c < 0, str(abs(c))), c
+
+
 def test_rational_normalization_is_idempotent():
     c = Fraction(2, -4)
     assert (c.numerator, c.denominator) == (-1, 2)

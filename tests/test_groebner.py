@@ -1,12 +1,13 @@
 import heapq
 import itertools
+import math
 import random
 import types
 import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
@@ -126,12 +127,13 @@ def rescanning_divide(f, divisors):
 
 
 @st.composite
-def division_cases(draw):
+def division_cases(draw, fields=(QQ, GF(101))):
     """Divisors and a dividend r + sum(h_k * g_k) over few monomials, so
     that terms of the working polynomial often cancel and later come back.
     Each variable's exponents are 0, 1 or 2 times a step of 1, 7 or 50, so
-    degrees range past 300 and cross several packing widths."""
-    field = draw(st.sampled_from([QQ, GF(101)]))
+    degrees range past 300 and cross several packing widths.  Over QQ the
+    coefficients include fractions and the leads need not be monic."""
+    field = draw(st.sampled_from(fields))
     coeff = st.sampled_from(
         [Fraction(-3, 2), -1, Fraction(1, 3), 1, 2] if field is QQ else [1, 2, 50, 99, 100]
     )
@@ -158,6 +160,35 @@ def test_divide_matches_rescanning_division(case):
     quotients, remainder = rescanning_divide(f, divisors)
     assert res.quotients == quotients
     assert res.remainder == remainder
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_cases(fields=[QQ]), st.booleans())
+@example((P("x^2+y"), [P("2*y+1")]), False)
+def test_remainder_only_division_is_a_multiple_of_the_exact_remainder(case, in_ideal):
+    """Over QQ, _PackedDivisors.divide without quotients, on the primitive
+    images of the divisors and the dividend, stays in ints and returns a
+    nonzero rational multiple of divide(f, gs).remainder with the same
+    support; with in_ideal the dividend is a multiple of one divisor, so
+    both remainders are zero.  In the explicit example x^2 joins the
+    remainder before the step on y scales the state by 2, so the remainder
+    so far must be scaled too: 2*x^2 - 1."""
+    f, divisors = case
+    if in_ideal:
+        f, divisors = f * divisors[0], divisors[:1]
+    want = divide(f, divisors).remainder
+    assert not (in_ideal and want)
+    top = max([f.degree(), 0] + [g.degree() for g in divisors])
+    packed = groebner_mod._PackedDivisors(f, top)
+    for g in divisors:
+        packed.append(packed.primitive(packed.image(g)))
+    rem = packed.divide(packed.primitive(packed.image(f)) if f else {})
+    assert all(type(c) is int for c in rem.values())
+    got = packed.poly(rem)
+    assert got.terms.keys() == want.terms.keys()
+    if want:
+        ratio = got.leading_coeff() / want.leading_coeff()
+        assert all(c == ratio * want.terms[m] for m, c in got.terms.items())
 
 
 def test_divide_skips_stale_heap_entries(monkeypatch):
@@ -421,6 +452,33 @@ def test_buchberger_has_no_coefficient_growth_cliff(monkeypatch):
         for c in map(Fraction, image.values())
     )
     assert bits <= 64
+
+
+def test_buchberger_keeps_primitive_int_images(monkeypatch):
+    """Over QQ, G holds primitive images: every image buchberger appends
+    has int coefficients, content 1 and a positive leading coefficient, on
+    the m=2i, t=8 recipe and on a recombination of psi(A) with fractional
+    coefficients.  Only the returned basis is monic."""
+    appended = []
+    append = groebner_mod._PackedDivisors.append
+
+    def spy(self, image):
+        appended.append(image)
+        append(self, image)
+
+    monkeypatch.setattr(groebner_mod._PackedDivisors, "append", spy)
+    rng = random.Random(7)
+    A = with_fractions(sample(make_cell(M_EX3), QQ, 7), rng)
+    fractional = recombine(list(psi(A).polys), rng)
+    assert any(c.denominator != 1 for g in fractional for c in g.terms.values())
+    for gens in (evens_recipe(8)[1], fractional):
+        appended.clear()
+        buchberger(gens)
+        assert len(appended) > len(gens)
+        for image in appended:
+            assert all(type(c) is int for c in image.values())
+            assert math.gcd(*image.values()) == 1
+            assert image[max(image)] > 0
 
 
 def test_buchberger_tail_reduces_each_element_once(monkeypatch):
