@@ -57,8 +57,9 @@ def _max_raw_bound(cell: MonomialCell) -> int:
     )
 
 
-def _check_initial_ideal(gb: GroebnerBasis, cell: MonomialCell):
-    got = set(initial_ideal(gb))
+def _check_initial_ideal(lead: tuple, cell: MonomialCell):
+    """Check that `lead`, the minimal generators of in(gb), are the cell's."""
+    got = set(lead)
     want = set(cell.minimal_generators())
     if got != want:
         fmt = lambda ms: ", ".join(f"x^{a}*y^{b}" for a, b in sorted(ms, reverse=True))
@@ -84,7 +85,8 @@ def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell) -> IdealBasis:
                 f"no basis element with leading term dividing x^{target[0]}*y^{target[1]}"
             )
         lm = best.leading_monomial()
-        fs.append(best.mul_term((target[0] - lm[0], target[1] - lm[1]), field.one))
+        shift = (target[0] - lm[0], target[1] - lm[1])
+        fs.append(best.mul_term(shift, field.one) if any(shift) else best)
     return IdealBasis(cell, tuple(fs))
 
 
@@ -234,13 +236,15 @@ def _canonicalize(gens, cell: MonomialCell = None) -> tuple:
     if not gens:
         raise ValueError("need at least one generator")
     gb = buchberger(gens)
+    lead = initial_ideal(gb)
+    # The same-ideal check expands psi(A), which takes t columns, t the
+    # least pure x power of in(gb); refuse a cell too wide for that before
+    # it is built (its m-vector has t + 1 entries) or worked on.
+    check_minor_columns(min((a for a, b in lead if b == 0), default=0))
     if cell is None:
-        cell = cell_from_minimal_generators(initial_ideal(gb))
+        cell = cell_from_minimal_generators(lead)
     else:
-        _check_initial_ideal(gb, cell)
-    # The same-ideal check expands psi(A), which takes t columns; refuse a
-    # cell too wide for that before the back end does t^2 work on it.
-    check_minor_columns(cell.t)
+        _check_initial_ideal(lead, cell)
     A = canonical_matrix(_prepare_from_gb(gb, cell))
     return A, _verify_same_ideal(A, gb)
 

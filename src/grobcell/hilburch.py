@@ -199,8 +199,10 @@ def psi(A: ParamMatrix) -> IdealBasis:
     )
     # X + A without its -x entries, rows 1..t+1
     hb = [[_ky(e, D, p) for e in row] for row in A.entries]
-    for i in range(t):
-        hb[i][i] = _ky(A.entries[i][i] + Poly.monomial(field, 1, (cell.d_of(i + 1),)), D, p)
+    for i in range(t):  # add y^(d_(i+1)), scaled by D like the rest
+        d, e = cell.d_of(i + 1), hb[i][i]
+        e.extend([0] * (d + 1 - len(e)))
+        e[d] += D
     B, r = hb[1:], {j: e for j, e in enumerate(hb[0]) if e}
     rows = [[(j, e) for j, e in enumerate(row) if e] for row in B]
 

@@ -16,6 +16,7 @@ two-variable ring K[x, y] and the three-variable ring K[x, y, z].
 from __future__ import annotations
 
 import math
+import re
 from operator import mul
 
 from .errors import FieldMismatch, ZeroPolynomial
@@ -307,112 +308,53 @@ def homogenize(f: Poly) -> Poly:
 # -- text form ------------------------------------------------------------
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-        elif c in "xyz":
-            tokens.append(("var", c))
-            i += 1
-        elif c in "^*/+-":
-            tokens.append((c, c))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {c!r} in polynomial text")
-    return tokens
+# One term of the grammar in parse_poly's docstring, with its leading signs.
+_TERM = re.compile(
+    r"\s*(?P<sign>(?:[+-]\s*)*)"
+    r"(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*(?:\*\s*(?=[xyz]))?)?"
+    r"(?P<monos>[xyz](?:\s*\^\s*\d+)?(?:\s*\*\s*[xyz](?:\s*\^\s*\d+)?)*)?\s*"
+)
+_FOREIGN = re.compile(r"[^\s\dxyz^*/+-]")
 
 
 def parse_poly(text: str, field, nvars: int) -> Poly:
-    """Parse the textual polynomial grammar.
+    """Parse the textual polynomial grammar
 
-    polynomial := term (('+'|'-') term)*
-    term       := coeff ['*' monos] | monos
-    monos      := var['^'exp] ('*' var['^'exp])*
+    polynomial := sign* term (sign+ term)*
+    term       := coeff ['*'] monos | coeff | monos
+    coeff      := num ['/' num]
+    monos      := var ['^' num] ('*' var ['^' num])*
+
+    with sign '+' or '-', num a run of decimal digits and var a variable of
+    the ring.  Whitespace may separate tokens, never the digits of a number.
+    Exponents of a repeated variable add up.  Errors come in text order,
+    after a scan for foreign characters; a zero denominator in a
+    coefficient raises DivisionByZero.
     """
-    names = VAR_NAMES[nvars]
-    var_index = {v: k for k, v in enumerate(names)}
-    toks = _tokenize(text)
-    if not toks:
+    bad = _FOREIGN.search(text)
+    if bad:
+        raise ValueError(f"unexpected character {bad.group()!r} in polynomial text")
+    if not text.strip():
         raise ValueError("empty polynomial text")
-
-    pos = 0
-
-    def peek():
-        return toks[pos][0] if pos < len(toks) else None
-
-    terms = []
-    first = True
-    while pos < len(toks):
-        nminus = 0
-        saw_sign = False
-        while peek() in ("+", "-"):
-            if peek() == "-":
-                nminus += 1
-            pos += 1
-            saw_sign = True
-        if not first and not saw_sign:
-            raise ValueError("missing '+' or '-' between terms")
-        if pos >= len(toks):
-            raise ValueError("dangling sign at end of polynomial")
-
-        coeff = None
+    names = VAR_NAMES[nvars]
+    terms, pos = [], 0
+    while pos < len(text):
+        term = _TERM.match(text, pos)
+        sign, num, den, monos = term.group("sign", "num", "den", "monos")
+        if pos and not sign:
+            raise ValueError(f"missing '+' or '-' before position {pos}")
+        if not (num or monos):
+            raise ValueError(f"expected a term at position {term.end('sign')}")
+        c = field.parse_scalar(f"{num}/{den}" if den else num) if num else field.one
         expts = [0] * nvars
-        have_factor = False
-
-        if peek() == "num":
-            numtxt = toks[pos][1]
-            pos += 1
-            if peek() == "/":
-                pos += 1
-                if peek() != "num":
-                    raise ValueError("expected denominator after '/'")
-                numtxt += "/" + toks[pos][1]
-                pos += 1
-            coeff = field.parse_scalar(numtxt)
-            have_factor = True
-            if peek() == "*":
-                pos += 1
-                if peek() != "var":
-                    raise ValueError("expected a variable after '*'")
-
-        while peek() == "var":
-            name = toks[pos][1]
-            pos += 1
-            if name not in var_index:
+        # drop the whitespace first: int() refuses some that \s matches
+        for factor in "".join(monos.split()).split("*") if monos else ():
+            name, _, e = factor.partition("^")
+            if name not in names:
                 raise ValueError(f"variable {name!r} not allowed in {names}")
-            e = 1
-            if peek() == "^":
-                pos += 1
-                if peek() != "num":
-                    raise ValueError("expected an exponent after '^'")
-                e = int(toks[pos][1])
-                pos += 1
-            expts[var_index[name]] += e
-            have_factor = True
-            if peek() == "*":
-                pos += 1
-                if peek() != "var":
-                    raise ValueError("expected a variable after '*'")
-                continue
-            break
-
-        if not have_factor:
-            raise ValueError("expected a term")
-        c = field.one if coeff is None else coeff
-        if nminus % 2:
-            c = -c
-        terms.append((tuple(expts), c))
-        first = False
-
+            expts[names.index(name)] += int(e) if e else 1
+        terms.append((tuple(expts), -c if sign.count("-") % 2 else c))
+        pos = term.end()
     return Poly.from_terms(field, nvars, terms)
 
 

@@ -79,7 +79,7 @@ def prepare_basis(gens, cell):
     """Groebner-reduce arbitrary generators and normalize them to f_0..f_t,
     the steps canonicalize takes before canonical_matrix extracts A."""
     gb = buchberger(gens)
-    _check_initial_ideal(gb, cell)
+    _check_initial_ideal(initial_ideal(gb), cell)
     return _strip_x_t_tails(_prepare_from_gb(gb, cell))
 
 

@@ -249,6 +249,27 @@ def test_canonicalize_rejects_cell_past_minor_cap(tmp_path):
     )
 
 
+def test_canonicalize_refuses_huge_x_power_before_building_its_cell(tmp_path):
+    # the cap is checked on in(gb) itself; a cell with t = 10^12 would need
+    # an m-vector of 10^12 + 1 entries
+    path = tmp_path / "gens.txt"
+    path.write_text("x^1000000000000\ny\n")
+    code, out, err = invoke(["canonicalize", "--gens", str(path)])
+    assert code == 2 and out == ""
+    assert err == (
+        "error[MATRIX_TOO_LARGE]: minor expansion over 1000000000000 columns "
+        "exceeds the cap of 300\n"
+    )
+
+
+def test_canonicalize_malformed_generator_line(tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text("x^3\nx^2+\ny^3\n")
+    code, out, err = invoke(["canonicalize", "--gens", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_psi_homogeneous(ex3_matrix_file):
     code, out, _ = invoke(["psi", "--matrix", ex3_matrix_file, "--homogeneous"])
     assert code == 0

@@ -1,12 +1,13 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grobcell import GF, QQ
-from grobcell.errors import FieldMismatch, ZeroPolynomial
+from grobcell.errors import DivisionByZero, FieldMismatch, ZeroPolynomial
 from grobcell.groebner import buchberger, divide
 from grobcell.poly import (
     Poly,
@@ -221,15 +222,64 @@ def test_text_round_trip_and_shape():
     assert format_poly(P("7/2*x*y")) == "7/2*x*y"
 
 
+@pytest.mark.parametrize(
+    "text, field, nvars, terms",
+    [
+        ("3x", QQ, 2, {(1, 0): 3}),
+        ("3 x", QQ, 2, {(1, 0): 3}),
+        ("2/3x", QQ, 2, {(1, 0): Fraction(2, 3)}),
+        ("x*x", QQ, 2, {(2, 0): 1}),
+        ("--x", QQ, 2, {(1, 0): 1}),
+        ("+-y", QQ, 2, {(0, 1): -1}),
+        ("x ^ 2", QQ, 2, {(2, 0): 1}),
+        ("x^02", QQ, 2, {(2, 0): 1}),
+        ("x*y*x^2", QQ, 2, {(3, 1): 1}),
+        (" 2 * x*y - 1 / 2 * y ", QQ, 2, {(1, 1): 2, (0, 1): Fraction(-1, 2)}),
+        ("y^2 - y^2 + 1", QQ, 1, {(0,): 1}),
+        ("3z^2+x", QQ, 3, {(0, 0, 2): 3, (1, 0, 0): 1}),
+        ("-1/3*y", GF(7), 2, {(0, 1): 2}),
+    ],
+)
+def test_parse_accepts(text, field, nvars, terms):
+    assert parse_poly(text, field, nvars) == Poly.from_terms(field, nvars, terms.items())
+
+
+# Text parse_poly refuses, with the error it raises, in ring K[y] (1),
+# K[x,y] (2) or K[x,y,z] (3), over QQ.
+PARSE_REJECTED = [
+    ("x y", 2, ValueError),
+    ("x2", 2, ValueError),
+    ("x 2", 2, ValueError),
+    ("x^2y", 2, ValueError),
+    ("x^2^3", 2, ValueError),
+    ("1 2", 2, ValueError),
+    ("x*", 2, ValueError),
+    ("3*", 2, ValueError),
+    ("2/", 2, ValueError),
+    ("2/ x", 2, ValueError),
+    ("+", 2, ValueError),
+    ("x+", 2, ValueError),
+    ("", 2, ValueError),
+    ("  ", 2, ValueError),
+    ("a", 2, ValueError),
+    ("z", 2, ValueError),
+    ("x", 1, ValueError),
+    ("1/0", 2, DivisionByZero),
+    # errors come in text order, term by term, after a scan for
+    # foreign characters
+    ("1/0+", 2, DivisionByZero),
+    ("1/0*", 2, DivisionByZero),
+    ("x 1/0", 2, ValueError),
+    ("z+1/0", 2, ValueError),
+    ("1/0+a", 2, ValueError),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_poly("x+", QQ, 2)
-    with pytest.raises(ValueError):
-        parse_poly("z", QQ, 2)
-    with pytest.raises(ValueError):
-        parse_poly("x 2", QQ, 2)
-    with pytest.raises(ValueError):
-        parse_poly("", QQ, 2)
+    for text, nvars, error in PARSE_REJECTED:
+        with pytest.raises(error):
+            parse_poly(text, QQ, nvars)
+            pytest.fail(f"parsed {text!r} in {nvars} variables")
 
 
 def test_field_mismatch_in_arithmetic():
