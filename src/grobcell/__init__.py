@@ -50,7 +50,7 @@ from .hilburch import (
     zero_matrix,
 )
 from .poly import Poly, format_poly, homogenize, parse_poly, variable
-from .projective import HomIdealBasis, psi_bar
+from .projective import psi_bar
 
 __version__ = "0.1.0"
 
@@ -104,6 +104,5 @@ __all__ = [
     "homogenize",
     "parse_poly",
     "variable",
-    "HomIdealBasis",
     "psi_bar",
 ]

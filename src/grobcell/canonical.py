@@ -2,14 +2,14 @@
 to the unique admissible parameter matrix presenting it.
 
 Two entry points share one back end.  `canonicalize` takes arbitrary
-generators: it computes the reduced Groebner basis, checks or infers the
-cell from its initial ideal and picks the elements f_0..f_t with leading
-terms x^(t-i) y^(m_i).  `canonical_matrix` takes such a basis directly (for
-example psi(A), which it certifies on the way): it strips x^t from the
-tails of f_1..f_t, reads a raw parameter matrix A off the reductions of the
-t critical S-polynomials, then shrinks oversized entries with paired
-row/column reduction moves until every slot satisfies the cell's degree
-bounds.
+generators: it computes the reduced Groebner basis, infers the cell from
+its initial ideal (checking it against a given one) and picks the elements
+f_0..f_t with leading terms x^(t-i) y^(m_i).  `canonical_matrix` takes
+such a basis directly (for example psi(A), which it certifies on the way):
+it strips x^t from the tails of f_1..f_t, reads a raw parameter matrix A
+off the reductions of the t critical S-polynomials, then shrinks oversized
+entries with paired row/column reduction moves until every slot satisfies
+the cell's degree bounds.
 
 The working matrix holds the K[y] entries of A alone, in a ParamMatrix;
 X stays implicit.  One scan per matrix state, _find_violation, checks
@@ -32,7 +32,7 @@ from .errors import (
     WrongInitialIdeal,
 )
 from .groebner import GroebnerBasis, _PackedDivisors, buchberger, divide, initial_ideal
-from .hilburch import IdealBasis, ParamMatrix, check_minor_columns, critical_reductions, psi
+from .hilburch import IdealBasis, ParamMatrix, critical_reductions, psi
 from .poly import Poly, drl_key
 
 
@@ -57,20 +57,15 @@ def _max_raw_bound(cell: MonomialCell) -> int:
     )
 
 
-def _check_initial_ideal(lead: tuple, cell: MonomialCell):
-    """Check that `lead`, the minimal generators of in(gb), are the cell's."""
-    got = set(lead)
-    want = set(cell.minimal_generators())
-    if got != want:
-        fmt = lambda ms: ", ".join(f"x^{a}*y^{b}" for a, b in sorted(ms, reverse=True))
-        raise WrongInitialIdeal(
-            f"initial ideal has minimal generators [{fmt(got)}], expected [{fmt(want)}]"
-        )
-
-
-def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell) -> IdealBasis:
-    t = cell.t
-    field = gb.field
+def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell = None) -> IdealBasis:
+    """f_0..f_t of the cell of in(gb), which must be `cell` when that is
+    given: for each i the element whose leading term divides x^(t-i) y^(m_i)
+    with the largest leading term, shifted up to it.  Such an element
+    exists because x^(t-i) y^(m_i) lies in in(gb)."""
+    given, cell = cell, cell_from_minimal_generators(initial_ideal(gb))
+    if given is not None and given != cell:
+        raise WrongInitialIdeal(f"initial ideal is the one of {cell}, expected {given}")
+    t, field = cell.t, gb.field
     fs = []
     for i in range(t + 1):
         target = (t - i, cell.m[i])
@@ -80,10 +75,6 @@ def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell) -> IdealBasis:
             if lm[0] <= target[0] and lm[1] <= target[1]:
                 if best is None or drl_key(lm) > drl_key(best.leading_monomial()):
                     best = g
-        if best is None:
-            raise WrongInitialIdeal(
-                f"no basis element with leading term dividing x^{target[0]}*y^{target[1]}"
-            )
         lm = best.leading_monomial()
         shift = (target[0] - lm[0], target[1] - lm[1])
         fs.append(best.mul_term(shift, field.one) if any(shift) else best)
@@ -222,9 +213,9 @@ def _find_violation(M: ParamMatrix):
 def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
     """Return the admissible parameter matrix A with I_t(X+A) = (gens).
 
-    The cell, when omitted, is inferred from the computed initial ideal.
-    The result is re-expanded through its minors, which are reduced by the
-    reduced basis of the input before it is returned.
+    The cell is inferred from the computed initial ideal; a given cell
+    must be that one.  The result is re-expanded through its minors, which
+    are reduced by the reduced basis of the input before it is returned.
     """
     return _canonicalize(gens, cell)[0]
 
@@ -236,15 +227,6 @@ def _canonicalize(gens, cell: MonomialCell = None) -> tuple:
     if not gens:
         raise ValueError("need at least one generator")
     gb = buchberger(gens)
-    lead = initial_ideal(gb)
-    # The same-ideal check expands psi(A), which takes t columns, t the
-    # least pure x power of in(gb); refuse a cell too wide for that before
-    # it is built (its m-vector has t + 1 entries) or worked on.
-    check_minor_columns(min((a for a, b in lead if b == 0), default=0))
-    if cell is None:
-        cell = cell_from_minimal_generators(lead)
-    else:
-        _check_initial_ideal(lead, cell)
     A = canonical_matrix(_prepare_from_gb(gb, cell))
     return A, _verify_same_ideal(A, gb)
 
@@ -279,15 +261,15 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
 def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis) -> IdealBasis:
     """Check that psi(A) generates the ideal J of gb; return psi(A).
 
-    gb is a Groebner basis of J with in(J) = I0, by _check_initial_ideal or
-    because I0 was inferred from it.  Let J' be the ideal of psi(A).  psi
-    checks that the leading terms of psi(A) are the staircase, so
-    I0 is contained in in(J').  Each f_i of psi(A) is divided by gb; zero
-    remainders give J' in J, so in(J') lies in in(J) = I0.  So in(J') =
-    in(J), and an ideal inside another with the same initial ideal is
-    equal to it: J' = J.  The divisors are packed once, as wide as the
-    largest degree among psi(A) and gb, and primitive, so over QQ each
-    division is the remainder-only one in ints: only zero or not counts."""
+    gb is a Groebner basis of J with in(J) = I0, since I0 was inferred
+    from it.  Let J' be the ideal of psi(A).  psi checks that the leading
+    terms of psi(A) are the staircase, so I0 is contained in in(J').  Each
+    f_i of psi(A) is divided by gb; zero remainders give J' in J, so in(J')
+    lies in in(J) = I0.  So in(J') = in(J), and an ideal inside another
+    with the same initial ideal is equal to it: J' = J.  The divisors are
+    packed once, as wide as the largest degree among psi(A) and gb, and
+    primitive, so over QQ each division is the remainder-only one in ints:
+    only zero or not counts."""
     regenerated = psi(A)
     fs = regenerated.polys
     top = max(f.degree() for f in fs + gb.elements)

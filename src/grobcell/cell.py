@@ -5,7 +5,8 @@ the d-vector of diagonal jumps, the Hilbert function of R/I0 (by counting
 staircase monomials), the degree matrix U, the degree-bound matrix b for
 parameter matrices, the parameter count N, the dimension formula with its
 upper and lower bounds, the special index sets and the generator-degree
-data used by the Betti machinery.
+data used by the Betti machinery.  make_cell, the validating constructor,
+is also the one size gate: it refuses a cell past MAX_COLENGTH.
 
 All (i, j) indices in this module's API are 1-based, mirroring the matrix
 conventions used throughout: rows i = 1..t+1, columns j = 1..t.
@@ -15,7 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadMVector, ColengthTooSmall, InternalError, NotLexSegment, WrongInitialIdeal
+from .errors import (
+    BadMVector,
+    ColengthTooSmall,
+    InternalError,
+    MatrixTooLarge,
+    NotLexSegment,
+    WrongInitialIdeal,
+)
+
+# The largest colength n = sum(m) of a cell that make_cell accepts, so of
+# every cell a command works on; n bounds t, every m_i and N.  Measured at
+# n ~ 300 (README): every command takes at most 0.9 s on the dense, m = 2i,
+# m = 10i and few-step cells, but 16-76 s on m = (0, 1, ..., 1), t = n, so
+# the cap is the least value that every shipped input needs.
+MAX_COLENGTH = 300
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,8 @@ def make_cell(m) -> MonomialCell:
         raise BadMVector(f"m must be non-decreasing, got {m}")
     if m[1] == 0:
         raise BadMVector("m_1 must be positive (otherwise t is not minimal)")
+    if (n := sum(m)) > MAX_COLENGTH:
+        raise MatrixTooLarge(f"colength {n} exceeds the cap of {MAX_COLENGTH}")
     return MonomialCell(m)
 
 
@@ -108,31 +125,26 @@ def hilbert_function(cell: MonomialCell) -> tuple:
 
 
 @dataclass(frozen=True)
-class DegreeMatrix:
+class SlotMatrix:
+    """A (t+1) x t integer matrix over the slots of a cell, such as the
+    degree matrix U or the bound matrix b."""
+
     rows: tuple
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class BoundMatrix:
-    rows: tuple
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
-
-
-def degree_matrix(cell: MonomialCell) -> DegreeMatrix:
+def degree_matrix(cell: MonomialCell) -> SlotMatrix:
     t = cell.t
-    return DegreeMatrix(
+    return SlotMatrix(
         tuple(tuple(cell.u(i, j) for j in range(1, t + 1)) for i in range(1, t + 2))
     )
 
 
-def bound_matrix(cell: MonomialCell) -> BoundMatrix:
+def bound_matrix(cell: MonomialCell) -> SlotMatrix:
     t = cell.t
-    return BoundMatrix(
+    return SlotMatrix(
         tuple(tuple(cell.bound(i, j) for j in range(1, t + 1)) for i in range(1, t + 2))
     )
 
@@ -216,7 +228,8 @@ def below_diagonal_stats(cell: MonomialCell) -> tuple:
 
 def cell_from_minimal_generators(monos) -> MonomialCell:
     """Recover the cell whose minimal monomial generators are given, as
-    (x-exp, y-exp) pairs.  Fails when the generators are not Artinian."""
+    (x-exp, y-exp) pairs.  Fails when the generators are not Artinian, and
+    refuses a cell past the colength cap before its m-vector is built."""
     monos = [tuple(m) for m in monos]
     pure_x = [a for a, b in monos if b == 0]
     pure_y = [b for a, b in monos if a == 0]
@@ -227,6 +240,9 @@ def cell_from_minimal_generators(monos) -> MonomialCell:
     t = min(pure_x)
     if t < 1:
         raise WrongInitialIdeal("initial ideal is the unit ideal")
+    least = t - 1 + min(pure_y)  # m_1, ..., m_(t-1) >= 1 and m_t = min(pure_y)
+    if least > MAX_COLENGTH:
+        raise MatrixTooLarge(f"colength at least {least} exceeds the cap of {MAX_COLENGTH}")
     m = [0] * (t + 1)
     for i in range(1, t + 1):
         m[i] = min(b for a, b in monos if a <= t - i)

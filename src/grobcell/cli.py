@@ -20,7 +20,6 @@ from .canonical import _canonicalize, canonical_matrix
 from .errors import BadMVector, InternalError, InternalReductionFailure, ValidationError
 from .field import GF, QQ
 from .hilburch import (
-    check_minor_columns,
     param_matrix_from_json,
     param_matrix_to_json,
     psi,
@@ -70,15 +69,10 @@ def _field_from_args(args):
     return None
 
 
-def _load_matrix(args, expands_minors: bool):
-    """The --matrix file, checked against --m when that is given.  For a
-    command that expands minors, a matrix wider than the cap is refused as
-    soon as its m-vector is read, before a single entry is parsed."""
+def _load_matrix(args):
+    """The --matrix file, checked against --m when that is given."""
     with open(args.matrix, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    m = obj.get("m") if isinstance(obj, dict) else None
-    if expands_minors and isinstance(m, list):
-        check_minor_columns(len(m) - 1)
     A = param_matrix_from_json(obj, field=_field_from_args(args))
     if args.m is not None and _parse_m(args.m) != A.cell:
         raise ValidationError(
@@ -233,7 +227,7 @@ def _cmd_sample(args, out):
 
 
 def _cmd_psi(args, out):
-    A = _load_matrix(args, expands_minors=True)
+    A = _load_matrix(args)
     if args.homogeneous:
         polys = list(psi_bar(A).polys)
         key = "F"
@@ -249,7 +243,7 @@ def _cmd_psi(args, out):
 
 
 def _cmd_verify(args, out):
-    A = _load_matrix(args, expands_minors=True)
+    A = _load_matrix(args)
     basis = psi(A)
     if not verify_groebner_property(basis):
         raise InternalError("critical S-polynomials fail to reduce to zero")
@@ -281,7 +275,7 @@ def _cmd_canonicalize(args, out):
 
 
 def _cmd_betti(args, out):
-    A = _load_matrix(args, expands_minors=False)
+    A = _load_matrix(args)
     table = betti_mod.betti_numbers(A)
     per_degree = {
         str(j): table.beta1.get(j, 0) * u for j, u in sorted(table.beta0.items())

@@ -86,7 +86,8 @@ class CharTooSmall(ValidationError):
 
 
 class MatrixTooLarge(ValidationError):
-    """A matrix wider than the documented cap of the minor expansion."""
+    """A cell whose colength is past cell.MAX_COLENGTH; make_cell refuses it,
+    so every command does, before it reads a matrix entry or builds the cell."""
 
     code = "MATRIX_TOO_LARGE"
 

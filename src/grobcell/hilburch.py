@@ -19,30 +19,10 @@ from fractions import Fraction
 from operator import add
 
 from .cell import MonomialCell, hilbert_function, make_cell
-from .errors import (
-    BoundViolation,
-    InternalError,
-    LeadingTermMismatch,
-    MatrixTooLarge,
-)
+from .errors import BoundViolation, InternalError, LeadingTermMismatch
 from .field import char_ok, field_from_json
 from .groebner import _PackedDivisors
 from .poly import Poly, format_poly, parse_poly
-
-
-# The largest t whose maximal minors psi expands, so the widest cell that
-# psi, the commands that call it and canonicalize accept.  Their cost is
-# polynomial in t (on x^t, y at t = 300, psi takes about 0.17 s and
-# canonicalize 0.7 s, most of it in the t^2 slots the inverse map scans);
-# the cap bounds it until one is chosen from measured cost on dense cells.
-MAX_MINOR_COLUMNS = 300
-
-
-def check_minor_columns(ncols: int):
-    if ncols > MAX_MINOR_COLUMNS:
-        raise MatrixTooLarge(
-            f"minor expansion over {ncols} columns exceeds the cap of {MAX_MINOR_COLUMNS}"
-        )
 
 
 @dataclass(frozen=True)
@@ -66,7 +46,9 @@ class ParamMatrix:
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """Polynomials f_0..f_t with in(f_i) = x^(t-i) y^(m_i), monic."""
+    """Polynomials f_0..f_t with in(f_i) = x^(t-i) y^(m_i), monic; or, from
+    psi_bar, their homogenizations F_0..F_t in K[x, y, z], whose leading
+    monomials are (t-i, m_i, 0)."""
 
     cell: MonomialCell
     polys: tuple
@@ -192,7 +174,6 @@ def psi(A: ParamMatrix) -> IdealBasis:
     D^(t-k) times its value, divided out at the end."""
     cell, field = A.cell, A.field
     t = cell.t
-    check_minor_columns(t)
     p = field.characteristic
     D = 1 if p else math.lcm(
         *(c.denominator for row in A.entries for e in row for c in e.terms.values())
@@ -333,7 +314,7 @@ def param_matrix_from_json(obj: dict, field=None) -> ParamMatrix:
         isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows
     ):
         raise ValueError("'entries' must be a list of rows of polynomial strings")
-    cell = make_cell(m)
+    cell = make_cell(m)  # the size gate, before any entry is parsed
     if field is None:
         field = field_from_json(obj.get("field"))
     entries = [[parse_poly(s, field, 1) for s in row] for row in rows]

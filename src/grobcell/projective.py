@@ -8,25 +8,14 @@ direct three-variable minors of X + A^hom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cell import MonomialCell
 from .errors import NotLexSegment
-from .hilburch import ParamMatrix, psi
+from .hilburch import IdealBasis, ParamMatrix, psi
 from .poly import homogenize
 
 
-@dataclass(frozen=True)
-class HomIdealBasis:
-    """Homogeneous F_0..F_t with in(F_i) = x^(t-i) y^(m_i)."""
-
-    cell: MonomialCell
-    polys: tuple
-
-
-def psi_bar(A: ParamMatrix) -> HomIdealBasis:
+def psi_bar(A: ParamMatrix) -> IdealBasis:
     """The projective parametrization: homogenize each affine generator."""
     cell = A.cell
     if not cell.lex_segment():
         raise NotLexSegment(f"projective parametrization requires a lex-segment cell, got {cell}")
-    return HomIdealBasis(cell, tuple(homogenize(f) for f in psi(A).polys))
+    return IdealBasis(cell, tuple(homogenize(f) for f in psi(A).polys))

@@ -210,8 +210,7 @@ def test_zero_denominator_is_input_error(tmp_path, command, field_flags):
 
 
 def test_psi_rejects_matrix_past_minor_cap(tmp_path):
-    # t = 1100 columns: the cofactor expansion would recurse past Python's
-    # recursion limit, so the matrix is refused as input
+    # t = 1100 columns, colength 1100: refused as input, and at once
     t = 1100
     path = tmp_path / "A.json"
     path.write_text(
@@ -219,9 +218,7 @@ def test_psi_rejects_matrix_past_minor_cap(tmp_path):
     )
     code, out, err = invoke(["psi", "--matrix", str(path), "--json"])
     assert code == 2 and out == ""
-    assert err == (
-        "error[MATRIX_TOO_LARGE]: minor expansion over 1100 columns exceeds the cap of 300\n"
-    )
+    assert err == "error[MATRIX_TOO_LARGE]: colength 1100 exceeds the cap of 300\n"
 
 
 @pytest.mark.parametrize("command", ["psi", "verify"])
@@ -233,33 +230,54 @@ def test_wide_matrix_refused_before_its_entries_are_parsed(tmp_path, command):
     path.write_text(json.dumps({"m": [0] + [1] * t, "entries": [["y^^"]]}))
     code, out, err = invoke([command, "--matrix", str(path)])
     assert code == 2 and out == ""
-    assert err == (
-        "error[MATRIX_TOO_LARGE]: minor expansion over 301 columns exceeds the cap of 300\n"
-    )
+    assert err == "error[MATRIX_TOO_LARGE]: colength 301 exceeds the cap of 300\n"
 
 
 def test_canonicalize_rejects_cell_past_minor_cap(tmp_path):
-    # x^1200, y lies in the cell with t = 1200, whose psi it would expand
+    # x^1200, y has in(gb) of the cell m = (0, 1, ..., 1), colength 1200
     path = tmp_path / "gens.txt"
     path.write_text("x^1200\ny\n")
     code, out, err = invoke(["canonicalize", "--gens", str(path)])
     assert code == 2 and out == ""
-    assert err == (
-        "error[MATRIX_TOO_LARGE]: minor expansion over 1200 columns exceeds the cap of 300\n"
-    )
+    assert err == "error[MATRIX_TOO_LARGE]: colength at least 1200 exceeds the cap of 300\n"
 
 
 def test_canonicalize_refuses_huge_x_power_before_building_its_cell(tmp_path):
-    # the cap is checked on in(gb) itself; a cell with t = 10^12 would need
-    # an m-vector of 10^12 + 1 entries
+    # the bound t + m_t - 1 on the colength is read off in(gb) itself; a
+    # cell with t = 10^12 would need an m-vector of 10^12 + 1 entries
     path = tmp_path / "gens.txt"
     path.write_text("x^1000000000000\ny\n")
     code, out, err = invoke(["canonicalize", "--gens", str(path)])
     assert code == 2 and out == ""
     assert err == (
-        "error[MATRIX_TOO_LARGE]: minor expansion over 1000000000000 columns "
-        "exceeds the cap of 300\n"
+        "error[MATRIX_TOO_LARGE]: colength at least 1000000000000 exceeds the cap of 300\n"
     )
+
+
+HUGE = 10**12
+
+
+@pytest.mark.parametrize(
+    "command", ["psi", "verify", "betti", "cell", "dim", "sample", "strata-codim", "canonicalize"]
+)
+def test_every_command_refuses_a_huge_exponent(tmp_path, command):
+    # one gate where cells are made: each command refuses the cell of
+    # x, y^(10^12) before it builds y^(10^12) densely or walks its staircase
+    if command in ("psi", "verify", "betti"):
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps({"m": [0, HUGE], "entries": [["0"], ["0"]]}))
+        argv = [command, "--matrix", str(path)]
+    elif command == "canonicalize":
+        path = tmp_path / "gens.txt"
+        path.write_text(f"x\ny^{HUGE}\n")
+        argv = [command, "--gens", str(path)]
+    else:
+        extra = {"sample": ["--seed", "1"], "strata-codim": ["--beta", "1=1"]}
+        argv = [command, "--m", f"0,{HUGE}"] + extra.get(command, [])
+    code, out, err = invoke(argv)
+    least = "at least " if command == "canonicalize" else ""
+    assert code == 2 and out == ""
+    assert err == f"error[MATRIX_TOO_LARGE]: colength {least}{HUGE} exceeds the cap of 300\n"
 
 
 def test_canonicalize_malformed_generator_line(tmp_path):
@@ -395,6 +413,55 @@ def test_human_modes_render():
     assert code == 0 and "2 trials, 0 failures" in out
     code, out, _ = invoke(["strata-codim", "--m", "0,5,7,11", "--beta", "8=1"])
     assert code == 0 and "total codim = 1" in out
+
+
+TEXT_GOLDENS = {
+    "canonicalize": (
+        "A =\n"
+        "  [ 2*y-2  -2*y+1    0 ]\n"
+        "  [    -2       2    4 ]\n"
+        "  [   y-2       3    4 ]\n"
+        "  [    -1       1  y+1 ]\n"
+        "generators:\n"
+        "  x^3-x^2*y-2*x*y^2+2*y^3-2*x^2+x*y+y^2-x+2*y-2\n"
+        "  x^2*y^2-x*y^3-y^4+2*x^2*y-8*x*y^2+5*y^3-2*x^2-x*y+3*y^2+6*x-3*y\n"
+        "  x*y^3-y^4-2*x^2*y+6*x*y^2-5*y^3+x^2-x*y+2*y^2-3*x+4*y-2\n"
+        "  y^5-2*x*y^3+4*y^4+5*x*y^2+2*y^3-6*y^2-4*x-12*y+8\n"
+    ),
+    "betti": (
+        "deg  beta0  beta1  lex_beta0  codim\n"
+        "  3      1      0          1      0\n"
+        "  4      2      0          2      0\n"
+        "  5      0      1          1      0\n"
+        "  6      0      1          0      0\n"
+        "total codim = 0\n"
+    ),
+    "sample": (
+        "[ -6*y^4-y^3-7*y^2+9*y-5  -3*y^4+3*y^3+6*y^2+5*y+6  4*y^4+3*y^3-9*y^2+6*y-6 ]\n"
+        "[                  5*y-9                    -2*y-1                   -6*y+9 ]\n"
+        "[                      1                    -9*y-9        3*y^3-9*y^2+8*y-9 ]\n"
+        "[                      0                         0                    4*y-3 ]\n"
+    ),
+    "trials": (
+        "trial 0 (seed 1): ok\n"
+        "trial 1 (seed 0): ok\n"
+        "trial 2 (seed 3): ok\n"
+        "3 trials, 0 failures\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_GOLDENS))
+def test_text_mode_golden(case, ex3_gens_file, ex3_matrix_file):
+    # the non-JSON stdout, byte for byte: canonicalize and betti on the
+    # worked example, one EX1 sample and three EX1 trials
+    argv = {
+        "canonicalize": ["canonicalize", "--gens", ex3_gens_file],
+        "betti": ["betti", "--matrix", ex3_matrix_file],
+        "sample": ["sample", "--m", "0,5,7,11", "--seed", "1"],
+        "trials": ["sample", "--m", "0,5,7,11", "--seed", "1", "--trials", "3"],
+    }[case]
+    assert invoke(argv) == (0, TEXT_GOLDENS[case], "")
 
 
 def test_repeat_runs_byte_identical(ex3_gens_file, ex3_matrix_file):

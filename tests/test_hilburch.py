@@ -16,7 +16,6 @@ from grobcell.errors import (
 )
 from grobcell.groebner import divide
 from grobcell.hilburch import (
-    MAX_MINOR_COLUMNS,
     IdealBasis,
     critical_reductions,
     param_matrix_from_json,
@@ -24,7 +23,7 @@ from grobcell.hilburch import (
     param_matrix_to_json,
     verify_groebner_property,
 )
-from grobcell.cell import param_count
+from grobcell.cell import MAX_COLENGTH, param_count
 from grobcell.poly import Poly, parse_poly
 
 from conftest import EX3_A_ROWS, EX3_REGENERATED, M_EX1, M_EX3, cells, with_fractions
@@ -103,12 +102,14 @@ def test_syzygy_identity():
 
 
 def test_minor_expansion_column_cap():
-    # psi itself refuses a matrix one column wider than the cap, so library
-    # callers are capped as the CLI is; at the cap it still runs
-    n = MAX_MINOR_COLUMNS
+    # the colength cap is checked where cells are made, so library callers
+    # are capped as the CLI is: the widest cell at the cap is made and psi
+    # expands it, and every cell one past the cap is refused
+    n = MAX_COLENGTH
     assert psi(zero_matrix(make_cell([0] + [1] * n), QQ)).polys[0] == parse_poly(f"x^{n}", QQ, 2)
-    with pytest.raises(MatrixTooLarge):
-        psi(zero_matrix(make_cell([0] + [1] * (n + 1)), QQ))
+    for m in ([0] + [1] * (n + 1), [0, n + 1], [0, 1, n]):
+        with pytest.raises(MatrixTooLarge, match=f"colength {n + 1} exceeds the cap of {n}"):
+            make_cell(m)
 
 
 def random_poly_matrix(rng, field, nvars, n, coeff):
