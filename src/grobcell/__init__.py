@@ -42,12 +42,10 @@ from .hilburch import (
     ParamMatrix,
     check_membership,
     param_matrix_from_json,
-    param_matrix_from_strings,
     param_matrix_to_json,
     psi,
     sample,
     verify_groebner_property,
-    zero_matrix,
 )
 from .poly import Poly, format_poly, homogenize, parse_poly, variable
 from .projective import psi_bar
@@ -93,12 +91,10 @@ __all__ = [
     "ParamMatrix",
     "check_membership",
     "param_matrix_from_json",
-    "param_matrix_from_strings",
     "param_matrix_to_json",
     "psi",
     "sample",
     "verify_groebner_property",
-    "zero_matrix",
     "Poly",
     "format_poly",
     "homogenize",

@@ -80,6 +80,7 @@ from .errors import DivisionByZero
 from .poly import (
     Poly,
     _DrlPacking,
+    _merge_terms,
     drl_key,
     mono_div,
     mono_divides,
@@ -202,20 +203,9 @@ class _PackedDivisors:
         """The image of ci times divisor i times the packed monomial si minus
         cj times divisor j times sj: a shift is one int addition per term.
         The int cofactors ci and cj are 1 over GF(p)."""
-        p = self.p
         s = {m + si: c * ci for m, c in self.images[i].items()}
-        for m, c in self.images[j].items():
-            m += sj
-            c *= cj
-            prev = s.get(m)
-            nc = -c if prev is None else prev - c
-            if p:
-                nc %= p
-            if nc:
-                s[m] = nc
-            else:
-                del s[m]
-        return s
+        cj = -cj
+        return _merge_terms(s, [(m + sj, c * cj) for m, c in self.images[j].items()], self.p)
 
     def divide(self, work: dict, leads=None, quots=None) -> dict:
         """Divide the image `work`, which is consumed, by `leads` (entries

@@ -78,17 +78,6 @@ def check_membership(cell: MonomialCell, entries, field) -> ParamMatrix:
     return ParamMatrix(cell, field, tuple(tuple(r) for r in rows))
 
 
-def zero_matrix(cell: MonomialCell, field) -> ParamMatrix:
-    t = cell.t
-    z = Poly.zero(field, 1)
-    return ParamMatrix(cell, field, tuple(tuple(z for _ in range(t)) for _ in range(t + 1)))
-
-
-def param_matrix_from_strings(cell: MonomialCell, field, string_rows) -> ParamMatrix:
-    entries = [[parse_poly(s, field, 1) for s in row] for row in string_rows]
-    return check_membership(cell, entries, field)
-
-
 def _ky(f: Poly, scale: int, p: int) -> list:
     """f in K[y] as a list of int coefficients, low degree first: its
     residues over GF(p), over QQ the ints scale * f for a scale that clears
@@ -325,8 +314,6 @@ __all__ = [
     "ParamMatrix",
     "IdealBasis",
     "check_membership",
-    "zero_matrix",
-    "param_matrix_from_strings",
     "psi",
     "verify_groebner_property",
     "sample",

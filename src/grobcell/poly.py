@@ -9,6 +9,12 @@ format the packed kernel computes in, so every operation here reduces its
 results mod p.  Values are immutable once built, which is what lets a
 polynomial compute its leading monomial on first use and keep it.
 
+One loop, _merge_terms, adds terms into a map and drops those that cancel:
+from_terms, +, - and * here and the packed S-polynomial of the division
+kernel all call it.  The kernel's division heap loop keeps its own, since
+it must also push each monomial that enters the working polynomial onto
+its heap.
+
 The one-variable ring is K[y] (entries of parameter matrices), the
 two-variable ring K[x, y] and the three-variable ring K[x, y, z].
 """
@@ -43,6 +49,24 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _merge_terms(acc: dict, items, p: int) -> dict:
+    """Add the (key, coefficient) items into acc, reduced mod p when p is
+    nonzero, and drop every key whose coefficient cancels; return acc.  A
+    key is a monomial in either form, an exponent tuple or a packed int."""
+    get, pop = acc.get, acc.pop
+    for key, c in items:
+        prev = get(key)
+        if prev is not None:
+            c = prev + c
+        if p:
+            c %= p
+        if c:
+            acc[key] = c
+        else:
+            pop(key, None)
+    return acc
 
 
 class _DrlPacking:
@@ -128,20 +152,9 @@ class Poly:
 
     @classmethod
     def from_terms(cls, field, nvars: int, items) -> "Poly":
-        p = field.characteristic
-        acc: dict = {}
-        for mono, c in items:
-            mono = tuple(mono)
-            c = field.coerce(c)
-            prev = acc.get(mono)
-            c = c if prev is None else prev + c
-            if p:
-                c %= p
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        return cls(field, nvars, acc)
+        coerce = field.coerce
+        terms = _merge_terms({}, [(tuple(m), coerce(c)) for m, c in items], field.characteristic)
+        return cls(field, nvars, terms)
 
     # -- predicates ------------------------------------------------------
 
@@ -163,33 +176,14 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        p = self.field.characteristic
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = acc.get(mono)
-            nc = c if prev is None else prev + c
-            if p:
-                nc %= p
-            if nc:
-                acc[mono] = nc
-            else:
-                acc.pop(mono, None)
-        return Poly(self.field, self.nvars, acc)
+        terms = _merge_terms(dict(self.terms), other.terms.items(), self.field.characteristic)
+        return Poly(self.field, self.nvars, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        p = self.field.characteristic
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = acc.get(mono)
-            nc = -c if prev is None else prev - c
-            if p:
-                nc %= p
-            if nc:
-                acc[mono] = nc
-            else:
-                acc.pop(mono, None)
-        return Poly(self.field, self.nvars, acc)
+        negated = ((m, -c) for m, c in other.terms.items())
+        terms = _merge_terms(dict(self.terms), negated, self.field.characteristic)
+        return Poly(self.field, self.nvars, terms)
 
     def __neg__(self) -> "Poly":
         p = self.field.characteristic
@@ -199,21 +193,13 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        p = self.field.characteristic
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                c = c1 * c2
-                prev = acc.get(mono)
-                nc = c if prev is None else prev + c
-                if p:
-                    nc %= p
-                if nc:
-                    acc[mono] = nc
-                else:
-                    acc.pop(mono, None)
-        return Poly(self.field, self.nvars, acc)
+        products = (
+            (mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )
+        terms = _merge_terms({}, products, self.field.characteristic)
+        return Poly(self.field, self.nvars, terms)
 
     def mul_term(self, mono: tuple, coeff) -> "Poly":
         """Multiply by a single term coeff * x^mono."""

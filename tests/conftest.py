@@ -9,7 +9,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from grobcell import QQ, IdealBasis, Poly, check_membership, make_cell, parse_poly, psi, sample
+from grobcell import (
+    QQ,
+    IdealBasis,
+    ParamMatrix,
+    Poly,
+    check_membership,
+    make_cell,
+    parse_poly,
+    psi,
+    sample,
+)
 from grobcell.poly import drl_key, mono_mul
 
 from oracles import enumerate_lex_segment_cells
@@ -89,6 +99,18 @@ def ex3_gens():
     return [parse_poly(s, QQ, 2) for s in EX3_GENS]
 
 
+def zero_matrix(cell, field):
+    """The matrix with every entry 0: psi gives the staircase monomials."""
+    z = Poly.zero(field, 1)
+    return ParamMatrix(cell, field, tuple((z,) * cell.t for _ in range(cell.t + 1)))
+
+
+def param_matrix_from_strings(cell, field, string_rows):
+    """A checked matrix from rows of polynomial strings in y."""
+    entries = [[parse_poly(s, field, 1) for s in row] for row in string_rows]
+    return check_membership(cell, entries, field)
+
+
 def random_samples(field, count, seed, max_colength=20, min_colength=2):
     """Deterministic stream of (cell, matrix) pairs across lex-segment cells."""
     cells = [
@@ -129,6 +151,18 @@ def cells(draw, max_t=4):
     t = draw(st.integers(1, max_t))
     steps = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(t - 1)]
     return make_cell(list(itertools.accumulate([0] + steps)))
+
+
+@st.composite
+def term_items(draw, field, nvars, max_size=8):
+    """(monomial, coefficient) pairs with few distinct monomials and small
+    coefficients, so repeats are common and sums cancel over every field."""
+    mono = st.tuples(*[st.integers(0, 2)] * nvars)
+    if field.characteristic:
+        coeff = st.integers(-3, 3).map(field.coerce)
+    else:
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return draw(st.lists(st.tuples(mono, coeff), max_size=max_size))
 
 
 def perturbed_basis(cell, field, seed):

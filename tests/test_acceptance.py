@@ -20,10 +20,17 @@ from grobcell.canonical import canonical_matrix
 from grobcell.cell import hilbert_function
 from grobcell.cli import run
 from grobcell.groebner import buchberger, initial_ideal
-from grobcell.hilburch import param_matrix_from_strings
 from grobcell.projective import psi_bar
 
-from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX1, M_EX2, M_EX3
+from conftest import (
+    EX3_A_ROWS,
+    EX3_GENS,
+    EX3_REGENERATED,
+    M_EX1,
+    M_EX2,
+    M_EX3,
+    param_matrix_from_strings,
+)
 from oracles import (
     dehomogenize,
     enumerate_lex_segment_cells,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grobcell import GF, QQ, char_ok, hilbert_function, make_cell, sample, zero_matrix
+from grobcell import GF, QQ, char_ok, hilbert_function, make_cell, sample
 from grobcell.betti import (
     betti_numbers,
     block_matrix,
@@ -18,10 +18,9 @@ from grobcell.betti import (
 )
 from grobcell.cell import lex_betti
 from grobcell.errors import CharTooSmall, EmptyStratum, NotLexSegment
-from grobcell.hilburch import param_matrix_from_strings
 from grobcell.projective import psi_bar
 
-from conftest import M_EX1, M_EX2, M_EX3
+from conftest import M_EX1, M_EX2, M_EX3, param_matrix_from_strings, zero_matrix
 from oracles import enumerate_lex_segment_cells, minimalize_homogeneous
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grobcell import GF, QQ, canonicalize, make_cell, psi, sample, zero_matrix
+from grobcell import GF, QQ, canonicalize, make_cell, psi, sample
 import grobcell.canonical as canonical_mod
 from grobcell.canonical import (
     _find_violation,
@@ -29,7 +29,6 @@ from grobcell.errors import (
 from grobcell.groebner import buchberger, divide, initial_ideal
 from grobcell.hilburch import (
     IdealBasis,
-    param_matrix_from_strings,
     param_matrix_to_json,
     verify_groebner_property,
 )
@@ -45,8 +44,10 @@ from conftest import (
     M_EX1,
     cells,
     evens_recipe,
+    param_matrix_from_strings,
     perturbed_basis,
     with_fractions,
+    zero_matrix,
 )
 from oracles import enumerate_lex_segment_cells, hb_matrix, maximal_minors
 

@@ -7,10 +7,10 @@ import sys
 import pytest
 
 import grobcell.canonical
-from grobcell import QQ, IdealBasis, Poly, psi, zero_matrix
+from grobcell import QQ, IdealBasis, Poly, psi
 from grobcell.cli import build_parser, run
 
-from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX3
+from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX3, zero_matrix
 
 
 def invoke(argv):
@@ -309,6 +309,53 @@ def test_verify_golden_line(ex3_matrix_file):
     code, out, _ = invoke(["verify", "--m", "0,2,3,5", "--matrix", ex3_matrix_file])
     assert code == 0
     assert out == "OK: in(I_t(X+A)) = I0; GB certified via 3 S-pairs\n"
+
+
+def test_verify_json_golden(ex3_matrix_file):
+    code, out, err = invoke(["verify", "--matrix", ex3_matrix_file, "--json"])
+    assert code == 0 and err == ""
+    assert out == (
+        '{\n  "m": [\n    0,\n    2,\n    3,\n    5\n  ],\n  "ok": true,\n  "s_pairs": 3\n}\n'
+    )
+
+
+def test_field_qq_flag_is_the_default_field(ex3_matrix_file):
+    plain = invoke(["psi", "--matrix", ex3_matrix_file])
+    assert plain[0] == 0
+    assert invoke(["psi", "--matrix", ex3_matrix_file, "--field", "qq"]) == plain
+
+
+def test_beta_skips_empty_pieces():
+    plain = invoke(["strata-codim", "--m", "0,5,7,11", "--beta", "8=1", "--json"])
+    assert plain[0] == 0
+    assert invoke(["strata-codim", "--m", "0,5,7,11", "--beta", ",8=1, ,", "--json"]) == plain
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["psi", "--field", "qq", "--prime", "7"], "--prime only makes sense with --field fp"),
+        (["psi", "--field", "fp"], "--field fp requires --prime"),
+        (["strata-codim", "--m", "0,5,7,11", "--beta", "8=x"], "cannot parse --beta entry '8=x'"),
+        (["strata-codim", "--m", "0,5,7,11", "--beta", "8"], "cannot parse --beta entry '8'"),
+        (["strata-codim", "--m", "0,5,7,11", "--beta", " , "], "--beta needs at least one j=u entry"),
+    ],
+    ids=["qq-with-prime", "fp-without-prime", "beta-unparsable", "beta-no-value", "beta-empty"],
+)
+def test_flag_errors_golden(ex3_matrix_file, argv, message):
+    if argv[0] == "psi":
+        argv = argv + ["--matrix", ex3_matrix_file]
+    assert invoke(argv) == (2, "", f"error: {message}\n")
+
+
+def test_gens_file_without_polynomials(tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text("# only a comment\n\n   \n  # and another\n")
+    assert invoke(["canonicalize", "--gens", str(path)]) == (
+        2,
+        "",
+        f"error: no polynomials found in {path}\n",
+    )
 
 
 def test_verify_rejects_out_of_bounds_matrix(tmp_path):

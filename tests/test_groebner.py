@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
+from grobcell import GF, QQ, make_cell, psi, sample
 import grobcell.groebner as groebner_mod
 from grobcell.groebner import (
     buchberger,
@@ -30,7 +30,18 @@ from grobcell.poly import (
     parse_poly,
 )
 
-from conftest import EX3_GENS, M_EX1, M_EX3, cells, evens_recipe, recombine, with_fractions
+from conftest import (
+    EX3_GENS,
+    M_EX1,
+    M_EX3,
+    cells,
+    evens_recipe,
+    param_matrix_from_strings,
+    recombine,
+    term_items,
+    with_fractions,
+    zero_matrix,
+)
 from oracles import NotHomogeneous, is_groebner, minimalize_homogeneous, plain_buchberger
 
 
@@ -191,6 +202,28 @@ def test_remainder_only_division_is_a_multiple_of_the_exact_remainder(case, in_i
         assert all(c == ratio * want.terms[m] for m, c in got.terms.items())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_difference_matches_poly_arithmetic(data):
+    """_PackedDivisors.difference(i, si, j, sj, ci, cj) is the image of
+    ci*x^si*g_i - cj*x^sj*g_j.  The cofactors are 1 over GF(p), where G is
+    monic, and any nonzero ints over QQ, on images with fractions."""
+    field = data.draw(st.sampled_from([GF(2), GF(3), GF(10007), QQ]))
+    nvars = data.draw(st.integers(1, 3))
+    nonzero = term_items(field, nvars).map(lambda items: Poly.from_terms(field, nvars, items))
+    gi, gj = data.draw(nonzero.filter(bool)), data.draw(nonzero.filter(bool))
+    shift = st.tuples(*[st.integers(0, 2)] * nvars)
+    si, sj = data.draw(shift), data.draw(shift)
+    cofactor = st.integers(-5, 5).filter(bool) if field is QQ else st.just(1)
+    ci, cj = data.draw(cofactor), data.draw(cofactor)
+    top = max(gi.degree() + sum(si), gj.degree() + sum(sj))
+    packed = groebner_mod._PackedDivisors(gi, top, [gi, gj])
+    pack = packed.packing.pack
+    s = packed.difference(0, pack(si), 1, pack(sj), ci, cj)
+    assert all(s.values())
+    assert packed.poly(s) == gi.mul_term(si, ci) - gj.mul_term(sj, cj)
+
+
 def test_divide_skips_stale_heap_entries(monkeypatch):
     # x^3 + x*y^2 by x^2 + x*y + y^2: the first step cancels x*y^2, the
     # second (on -x^2*y) brings it back, so it sits in the heap twice.  The
@@ -296,7 +329,7 @@ def test_minimalize_homogeneous_staircase():
 
 
 def test_minimalize_homogeneous_generic_slot():
-    from grobcell import param_matrix_from_strings, psi_bar
+    from grobcell import psi_bar
 
     cell = make_cell(M_EX1)
     rows = [["0"] * 3 for _ in range(4)]

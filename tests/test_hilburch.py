@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
+from grobcell import GF, QQ, make_cell, psi, sample
 from grobcell.errors import (
     BoundViolation,
     DivisionByZero,
@@ -19,14 +19,22 @@ from grobcell.hilburch import (
     IdealBasis,
     critical_reductions,
     param_matrix_from_json,
-    param_matrix_from_strings,
     param_matrix_to_json,
     verify_groebner_property,
 )
 from grobcell.cell import MAX_COLENGTH, param_count
 from grobcell.poly import Poly, parse_poly
 
-from conftest import EX3_A_ROWS, EX3_REGENERATED, M_EX1, M_EX3, cells, with_fractions
+from conftest import (
+    EX3_A_ROWS,
+    EX3_REGENERATED,
+    M_EX1,
+    M_EX3,
+    cells,
+    param_matrix_from_strings,
+    with_fractions,
+    zero_matrix,
+)
 from oracles import (
     enumerate_lex_segment_cells,
     hb_matrix,

@@ -21,7 +21,7 @@ from grobcell.poly import (
     variable,
 )
 
-from conftest import EX3_GENS
+from conftest import EX3_GENS, term_items
 from oracles import dehomogenize, embed, is_homogeneous
 
 
@@ -97,6 +97,47 @@ def test_leading_monomial_matches_rescan(data):
         results += buchberger([f, g]).elements
     for r in results:
         check_leading_monomial(r)
+
+
+def merged(field, items):
+    """The terms of the sum of the items by a plain dict sum, reduced mod p
+    over GF(p), with the zero coefficients dropped."""
+    p = field.characteristic
+    acc = {}
+    for m, c in items:
+        acc[m] = acc.get(m, 0) + c
+    acc = {m: c % p if p else c for m, c in acc.items()}
+    return {m: c for m, c in acc.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ring_operations_match_dict_sums(data):
+    field = data.draw(st.sampled_from([GF(2), GF(3), GF(10007), QQ]))
+    nvars = data.draw(st.integers(1, 3))
+    fi, gi = data.draw(term_items(field, nvars)), data.draw(term_items(field, nvars))
+    f, g = Poly.from_terms(field, nvars, fi), Poly.from_terms(field, nvars, gi)
+    negated = [(m, -c) for m, c in gi]
+    products = [
+        (tuple(a + b for a, b in zip(m1, m2)), c1 * c2) for m1, c1 in fi for m2, c2 in gi
+    ]
+    cases = [
+        (f, fi),
+        (f + g, fi + gi),
+        (f - g, fi + negated),
+        (-g, negated),
+        (f * g, products),
+    ]
+    p = field.characteristic
+    for result, items in cases:
+        assert result.terms == merged(field, items)
+        if p:
+            assert all(0 < c < p for c in result.terms.values())
+        else:
+            assert all(c and type(c) is Fraction for c in result.terms.values())
+    assert f - f == Poly.zero(field, nvars)
+    if p == 2:
+        assert f + f == Poly.zero(field, nvars)
 
 
 def test_drl_tie_break():

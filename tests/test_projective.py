@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from grobcell import GF, QQ, make_cell, psi, sample, zero_matrix
+from grobcell import GF, QQ, make_cell, psi, sample
 from grobcell.errors import NotLexSegment
 from grobcell.groebner import buchberger, divide, initial_ideal
-from grobcell.hilburch import param_matrix_from_strings
 from grobcell.poly import Poly, homogenize, parse_poly
 from grobcell.projective import psi_bar
 
-from conftest import EX3_A_ROWS, with_fractions
+from conftest import EX3_A_ROWS, param_matrix_from_strings, with_fractions, zero_matrix
 from oracles import (
     NotGroebner,
     NotHomogeneous,
