@@ -6,7 +6,12 @@ subdiagonal; its signed minors are the staircase monomials x^(t-i)y^(m_i).
 Adding an A whose entries respect the cell's degree bounds perturbs those
 minors into a basis f_0..f_t with the same leading terms.  psi computes
 them as a characteristic polynomial and an adjugate over K[y], so its cost
-is polynomial in t.
+is polynomial in t.  Inside psi an element of K[y] is one int: its integer
+coefficients c_e packed as sum_e c_e 2^(w*e) (Kronecker substitution
+y -> 2^w), signed, with one width w per call that psi's docstring proves
+wide enough.  A product in K[y] is then one int product and a sum one int
+sum; coefficient lists are read back only from the results over QQ, and
+over GF(p) also from each step, to reduce them mod p.
 """
 
 from __future__ import annotations
@@ -16,13 +21,12 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .cell import MonomialCell, hilbert_function, make_cell
 from .errors import BoundViolation, InternalError, LeadingTermMismatch
 from .field import char_ok, field_from_json
 from .groebner import _PackedDivisors
-from .poly import Poly, format_poly, parse_poly
+from .poly import Poly, drl_key, format_poly, parse_poly
 
 
 @dataclass(frozen=True)
@@ -88,65 +92,72 @@ def _ky(f: Poly, scale: int, p: int) -> list:
     return out
 
 
-def _addmul(acc: list, a: list, b: list) -> list:
-    """acc += a * b on coefficient lists; acc grows as needed."""
-    if len(a) > len(b):
-        a, b = b, a
-    n, lb = len(a) + len(b) - 1, len(b)
-    if len(acc) < n:
-        acc.extend([0] * (n - len(acc)))
-    for i, c in enumerate(a):
-        if c:
-            acc[i : i + lb] = map(add, acc[i : i + lb], [c * v for v in b])
-    return acc
+def _pack(a: list, w: int) -> int:
+    """The K[y] element with coefficient list a, low degree first, as the
+    int sum_e a[e] * 2^(w*e)."""
+    out = 0
+    for c in reversed(a):
+        out = (out << w) + c
+    return out
 
 
-def _trim(a: list, p: int) -> list:
-    """a reduced mod p (when p) and without zero high coefficients."""
-    if p:
-        a = [c % p for c in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _unpack(a: int, w: int) -> list:
+    """The coefficient list, low degree first and without zero high
+    coefficients, of a packed K[y] element whose coefficients all lie in
+    [-2^(w-1), 2^(w-1)): its signed digits base 2^w, each digit taken out
+    with the borrow it leaves."""
+    half, mask, out = 1 << (w - 1), (1 << w) - 1, []
+    while a:
+        c = a & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        a = (a - c) >> w
+    return out
 
 
-def _vec_mat(v: dict, rows, n: int, p: int, out: dict) -> dict:
+def _vec_mat(v: dict, rows, n: int, reduce, out: dict) -> dict:
     """out + v * B over the leading n x n block of B, on sparse vectors
-    {index: coefficient list}; rows[i] lists the nonzeros (j, B[i][j]) of
-    row i by ascending j."""
+    {index: packed K[y] element}, each entry of the result passed through
+    reduce when given; rows[i] lists the nonzeros (j, B[i][j]) of row i by
+    ascending j."""
     for i, vi in v.items():
         for j, b in rows[i]:
             if j >= n:
                 break
-            _addmul(out.setdefault(j, []), vi, b)
-    return {j: a for j, a in ((j, _trim(a, p)) for j, a in out.items()) if a}
+            out[j] = out.get(j, 0) + vi * b
+    if reduce:
+        out = {j: reduce(a) for j, a in out.items()}
+    return {j: a for j, a in out.items() if a}
 
 
-def _charpoly(B, rows, p: int) -> list:
+def _charpoly(B, rows, reduce) -> list:
     """p_0..p_t with det(x*I - B) = sum_k p_k x^k, by Berkowitz's
     division-free recurrence (S. J. Berkowitz, IPL 18, 1984), so it holds
-    over GF(p) for every p; rows are the nonzeros of B as for _vec_mat.
+    over GF(p) for every p; rows are the nonzeros of B as for _vec_mat, and
+    every vector step and every Toeplitz step is passed through reduce when
+    given.
 
     With q the characteristic polynomial of the leading r x r block, highest
     power first, and the next row and column split as [[B_r, c], [R, a]],
     the next one is the Toeplitz matrix with first column
     (1, -a, -R c, -R B_r c, ..., -R B_r^(r-1) c) applied to q."""
-    q = [[1]]
+    q = [1]
     for r in range(len(B)):
-        toeplitz = [[1], [-v for v in B[r][r]]]
+        toeplitz = [1, -B[r][r]]
         col = [[(0, B[i][r])] if B[i][r] else [] for i in range(r)]  # c, as r x 1 rows
-        w = {j: B[r][j] for j in range(r) if B[r][j]} if any(col) else {}
-        while w:  # w = R B_r^k
-            toeplitz.append([-v for v in _vec_mat(w, col, 1, p, {}).get(0, [])])
+        u = {j: B[r][j] for j in range(r) if B[r][j]} if any(col) else {}
+        while u:  # u = R B_r^k
+            toeplitz.append(-_vec_mat(u, col, 1, reduce, {}).get(0, 0))
             if len(toeplitz) == r + 2:
                 break
-            w = _vec_mat(w, rows, r, p, {})
-        q.append([])
+            u = _vec_mat(u, rows, r, reduce, {})
+        q.append(0)
         for i in range(r + 1, 0, -1):  # downwards, so q[i - k] is still old
+            acc = q[i]
             for k in range(1, min(i, len(toeplitz) - 1) + 1):
-                if toeplitz[k] and q[i - k]:
-                    _addmul(q[i], toeplitz[k], q[i - k])
-            q[i] = _trim(q[i], p)
+                acc += toeplitz[k] * q[i - k]
+            q[i] = reduce(acc) if reduce else acc
     return q[::-1]
 
 
@@ -157,44 +168,108 @@ def psi(A: ParamMatrix) -> IdealBasis:
     2..t+1 of X + A are -x*I + B with B over K[y], and row 1 is r; then
     f_0 = det(x*I - B) = sum_k p_k x^k, and for i >= 1 f_i is entry i of
     r * adj(x*I - B) = sum_(k<t) x^k v_k, where v_(t-1) = r and
-    v_(k-1) = p_k r + v_k B.  Each product is one in K[y], on int
-    coefficient lists: residues over GF(p); over QQ, D*B and D*r for the
-    lcm D of the denominators of A, which turns the coefficient of x^k into
-    D^(t-k) times its value, divided out at the end."""
+    v_(k-1) = p_k r + v_k B.  Over QQ the recurrences run on D*B and D*r
+    for the lcm D of the denominators of A, which turns the coefficient of
+    x^k into D^(t-k) times its value, divided out at the end; over GF(p) on
+    the residues in [0, p).
+
+    Every element of K[y] is one int: its integer coefficients c_e packed
+    as sum_e c_e 2^(w*e), signed (Kronecker substitution y -> 2^w).  A
+    product in K[y] is then one int product and a sum one int sum.  Packing
+    is a ring homomorphism Z[y] -> Z, so the ints are exact whatever their
+    digits do, and a packed int decodes (_unpack) to its coefficients
+    whenever all of them lie in [-2^(w-1), 2^(w-1)).  So w is
+    b.bit_length() + 1 for a bound b on the absolute value of every
+    coefficient decoded:
+
+    * Over QQ only the results are decoded: the coefficients of
+      det(x*I - D*B) and of D*r * adj(x*I - D*B).  Each is a t x t
+      determinant over Z[x, y] whose rows are rows of x*I - D*B or the row
+      D*r.  The l1 norm of coefficients is subadditive and
+      submultiplicative, so a determinant's norm is at most the permanent
+      of its entries' norms, at most the product of its row sums.  Each row
+      sum is at most S, one more than the largest row sum of the norms of
+      D*(X+A) without its -x; so b = S^t.
+    * Over GF(p) each vector step (_vec_mat) and each Toeplitz step
+      (_charpoly) is decoded, reduced mod p and packed again, so every
+      factor in a step has coefficients of absolute value below p, and each
+      product of two factors adds at most min(len) terms to a coefficient.
+      Let L = 1 + sum over the rows of X+A of the length of the row's
+      longest entry.  A vector step is a sum of products v_i * b over the
+      entries b of one column (in the adjugate, also p_k * r_j), at most
+      L - 1 terms in all.  A Toeplitz step adds at most t products
+      T_k * q_j to the old q_i, each at most len(q_j) <= L terms: q_j is a
+      coefficient of the characteristic polynomial of a leading block, a
+      sum of products that take their entries from distinct rows, so its
+      degree is at most the sum of the rows' largest degrees.  So
+      b = (t + 2) * L * p^2."""
     cell, field = A.cell, A.field
     t = cell.t
     p = field.characteristic
     D = 1 if p else math.lcm(
         *(c.denominator for row in A.entries for e in row for c in e.terms.values())
     )
-    # X + A without its -x entries, rows 1..t+1
+    # X + A without its -x entries, rows 1..t+1, as coefficient lists
     hb = [[_ky(e, D, p) for e in row] for row in A.entries]
     for i in range(t):  # add y^(d_(i+1)), scaled by D like the rest
         d, e = cell.d_of(i + 1), hb[i][i]
         e.extend([0] * (d + 1 - len(e)))
         e[d] += D
-    B, r = hb[1:], {j: e for j, e in enumerate(hb[0]) if e}
-    rows = [[(j, e) for j, e in enumerate(row) if e] for row in B]
+    if p:
+        L = 1 + sum(max(map(len, row)) for row in hb)
+        w = ((t + 2) * L * p * p).bit_length() + 1
+        half, mask = 1 << (w - 1), (1 << w) - 1
 
-    coeffs = _charpoly(B, rows, p)
+        def reduce(a: int) -> int:
+            """a with every coefficient taken mod p: _unpack, then _pack of
+            the residues, in one pass over the digits."""
+            if -half <= a < half:  # a constant, the one digit a
+                return a % p
+            out = shift = 0
+            while a:
+                c = a & mask
+                if c >= half:
+                    c -= mask + 1
+                a = (a - c) >> w
+                out |= c % p << shift
+                shift += w
+            return out
+
+    else:
+        S = 1 + max(sum(abs(c) for a in row for c in a) for row in hb)
+        w = (S**t).bit_length() + 1
+        reduce = None
+    hb = [[_pack(a, w) for a in row] for row in hb]
+    B, r = hb[1:], {j: a for j, a in enumerate(hb[0]) if a}
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in B]
+
+    coeffs = _charpoly(B, rows, reduce)
     vs = [r]
     for k in range(t - 1, 0, -1):
-        out = {j: _addmul([], coeffs[k], e) for j, e in r.items()}
-        vs.append(_vec_mat(vs[-1], rows, t, p, out))
+        out = {j: coeffs[k] * a for j, a in r.items()}
+        vs.append(_vec_mat(vs[-1], rows, t, reduce, out))
     vs.reverse()  # vs[k] = v_k
 
+    scales = [D ** (t - k) for k in range(t + 1)]
+    one = field.one
     polys = []
     for i in range(t + 1):
-        entries = coeffs if i == 0 else [v.get(i - 1, ()) for v in vs]
-        terms = {
-            (k, e): c if p else Fraction(c, D ** (t - k))
-            for k, a in enumerate(entries)
-            for e, c in enumerate(a)
-            if c
-        }
-        f = Poly(field, 2, terms)
+        entries = coeffs if i == 0 else [v.get(i - 1, 0) for v in vs]
+        terms, lm = {}, None
+        for k, a in enumerate(entries):
+            a = _unpack(a, w)
+            if not a:
+                continue
+            s = scales[k]
+            for e, c in enumerate(a):
+                if c:
+                    terms[k, e] = c if p else Fraction(c) if s == 1 else Fraction(c, s)
+            top = (k, len(a) - 1)  # the largest monomial with x^k
+            if lm is None or drl_key(top) > drl_key(lm):
+                lm = top
+        f = Poly(field, 2, terms, lm)
         expected = (t - i, cell.m[i])
-        if f.is_zero() or f.leading_monomial() != expected or f.leading_coeff() != field.one:
+        if lm != expected or terms[lm] != one:
             raise InternalError(
                 f"minor {i} of X+A has leading term {f.leading_term() if f else 0}, "
                 f"expected monic x^{expected[0]}*y^{expected[1]}"
@@ -278,8 +353,8 @@ def sample(cell: MonomialCell, field, seed: int) -> ParamMatrix:
             if b < 0:
                 row.append(Poly.zero(field, 1))
             else:
-                coeffs = [((k,), field.sample_scalar(rng)) for k in range(b + 1)]
-                row.append(Poly.from_terms(field, 1, coeffs))
+                coeffs = [field.sample_scalar(rng) for _ in range(b + 1)]
+                row.append(Poly(field, 1, {(k,): c for k, c in enumerate(coeffs) if c}))
         rows.append(tuple(row))
     return ParamMatrix(cell, field, tuple(rows))
 

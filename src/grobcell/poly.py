@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from operator import mul
+from operator import mul, neg
 
 from .errors import FieldMismatch, ZeroPolynomial
 
@@ -32,7 +32,7 @@ VAR_NAMES = {1: ("y",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
 def drl_key(mono: tuple) -> tuple:
     """Sort key realizing the DRL order: bigger key = bigger monomial."""
-    return (sum(mono),) + tuple(-e for e in mono[:0:-1])
+    return (sum(mono), *map(neg, mono[:0:-1]))
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:

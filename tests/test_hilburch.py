@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -15,8 +16,12 @@ from grobcell.errors import (
     MatrixTooLarge,
 )
 from grobcell.groebner import divide
+from grobcell.field import MAX_PRIME, is_prime
 from grobcell.hilburch import (
     IdealBasis,
+    _pack,
+    _unpack,
+    check_membership,
     critical_reductions,
     param_matrix_from_json,
     param_matrix_to_json,
@@ -179,6 +184,76 @@ def test_psi_equals_signed_leibniz_minors(cell, field, seed):
     for i, f in enumerate(psi(A).polys):
         minor = permutation_determinant(rows[:i] + rows[i + 1 :])
         assert f == (minor if (t - i) % 2 == 0 else -minor)
+
+
+# Denominators for the fractional QQ matrices: one distinct prime per
+# coefficient, so D, the lcm of A's denominators, is their product.
+LARGE_PRIMES = list(itertools.islice(filter(is_prime, itertools.count(10**12)), 120))
+# GF(p) for the largest p that fields accept, where p^2 is about 2^126.
+TOP_PRIME = next(p for p in range(MAX_PRIME - 1, 0, -2) if is_prime(p))
+
+
+def extreme_matrix(cell, field, kind, rng):
+    """A matrix with every admissible coefficient drawn for `kind`: QQ
+    coefficients all +-9, integers near +-10^30, or +-c/q with a distinct
+    large prime q each; over GF(p) each residue p - 1 or uniform."""
+    primes = iter(LARGE_PRIMES)
+    draw = {
+        "pm9": lambda: Fraction(rng.choice((-9, 9))),
+        "1e30": lambda: Fraction(rng.choice((-1, 1)) * (10**30 + rng.randint(-99, 99))),
+        "primes": lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), next(primes)),
+        "gf": lambda: rng.choice((field.characteristic - 1, rng.randrange(field.characteristic))),
+    }[kind]
+    entries = []
+    for i in range(1, cell.t + 2):
+        row = []
+        for j in range(1, cell.t + 1):
+            terms = {(k,): draw() for k in range(cell.bound(i, j) + 1)}
+            row.append(Poly(field, 1, {k: c for k, c in terms.items() if c}))
+        entries.append(row)
+    return check_membership(cell, entries, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=cells(max_t=5),
+    case=st.sampled_from(
+        [(QQ, "pm9"), (QQ, "1e30"), (QQ, "primes")]
+        + [(GF(p), "gf") for p in (2, 3, 10007, TOP_PRIME)]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psi_at_the_width_bound(cell, case, seed):
+    """psi's packing width holds where coefficients are largest: its f_i
+    equal the signed Laplace minors of X + A."""
+    field, kind = case
+    A = extreme_matrix(cell, field, kind, random.Random(seed))
+    minors = maximal_minors(hb_matrix(A))
+    for i, f in enumerate(psi(A).polys):
+        assert f == (minors[i] if (cell.t - i) % 2 == 0 else -minors[i])
+
+
+def test_pack_unpack_round_trip():
+    for w in (2, 3, 17, 64, 100):
+        top = (1 << (w - 1)) - 1
+        for a in (
+            [],
+            [0],
+            [0, 0, 1],
+            [1, 0, 0],
+            [-1],
+            [1, -1],
+            [0, -top],
+            [top, -top, top],
+            [-top, top, -top, 0, -top],
+            [top] * 7,
+            [-top] * 7,
+            [-(top + 1), top, 0, -(top + 1)],
+        ):
+            want = list(a)
+            while want and not want[-1]:
+                want.pop()
+            assert _unpack(_pack(a, w), w) == want
 
 
 def test_minor_sign_convention():
