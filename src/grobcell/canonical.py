@@ -105,7 +105,7 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
     are checked by _find_violation, on this matrix and after every move."""
     cell = basis.cell
     field = basis.polys[0].field
-    p, coerce = field.characteristic, field.coerce
+    p = field.characteristic
     packed, reductions = critical_reductions(basis)
     # A packed monomial of K[x, y] has x = 0 exactly when its x field is 0.
     xmask, unpack = packed.packing.xmask, packed.packing.unpack
@@ -125,7 +125,7 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
                     f"syzygy quotient on f_{j} is not univariate: {packed.poly(q)}"
                 )
             lm = (unpack(max(q))[1],)
-            terms = {(unpack(m)[1],): p - c if p else -coerce(c) for m, c in q.items()}
+            terms = {(unpack(m)[1],): p - c if p else -c for m, c in q.items()}
             col.append(Poly(field, 1, terms, lm))
         cols.append(col)
     rows = tuple(tuple(c[r] for c in cols) for r in range(cell.t + 1))

@@ -1,13 +1,16 @@
 """Exact coefficient arithmetic over the rationals and over prime fields.
 
-Rational scalars are plain ``fractions.Fraction`` values: arbitrary
-precision, always reduced, always with positive denominator.  Prime-field
-scalars are plain ``int`` values in ``[0, p)``, the same format the packed
-polynomial kernel computes in.  A scalar does not know its field: ``Poly``
-carries the field, checks that operands share it, and reduces sums and
-products mod p.  The field objects (:data:`QQ` and :func:`GF`) supply zero,
-one, coercion, the inverse, parsing, formatting and sampling.  Division goes
-through ``inv``, never through ``/``, which on two ints gives a float.
+A rational scalar is an ``int`` when it is integral and a
+``fractions.Fraction`` with denominator > 1 otherwise: arbitrary precision,
+always reduced, never an integral Fraction.  Prime-field scalars are plain
+``int`` values in ``[0, p)``.  Both are the formats the packed polynomial
+kernel computes in, so scalars cross its boundary unchanged.  A scalar does
+not know its field: ``Poly`` carries the field, checks that operands share
+it, reduces sums and products mod p and brings integral Fractions back to
+ints.  The field objects (:data:`QQ` and :func:`GF`) supply zero, one,
+coercion, the inverse and sampling.  Division goes through ``inv``, never
+through ``/``, which on two ints gives a float: over QQ too, where
+integral rationals are ints.
 """
 
 from __future__ import annotations
@@ -48,49 +51,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise DivisionByZero(f"zero denominator in {text.strip()!r}") from None
-
-
 class Rationals:
-    """The field of rational numbers; scalars are ``Fraction`` values."""
+    """The field of rational numbers; scalars are ints when integral and
+    Fractions with denominator > 1 otherwise."""
 
     kind = "rationals"
     characteristic = 0
+    zero = 0
+    one = 1
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def coerce(self, x) -> Fraction:
+    def coerce(self, x) -> int | Fraction:
         if isinstance(x, Fraction):
-            return x
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
-    def inv(self, c) -> Fraction:
+    def inv(self, c) -> int | Fraction:
         if not c:
             raise DivisionByZero("0 has no inverse in QQ")
-        return Fraction(c.denominator, c.numerator)
-
-    def parse_scalar(self, text: str) -> Fraction:
-        return _parse_fraction(text)
-
-    def scalar_sign_split(self, c: Fraction) -> tuple[bool, str]:
-        """(is_negative, magnitude string) for rendering polynomials, as
-        c < 0 and str(abs(c)) give them, read off numerator and denominator."""
         n, d = c.numerator, c.denominator
-        if d == 1:
-            return n < 0, str(abs(n))
-        return n < 0, f"{abs(n)}/{d}"
+        if n == 1 or n == -1:
+            return n * d
+        return Fraction(d, n)
 
-    def sample_scalar(self, rng: random.Random) -> Fraction:
-        # Uniform on the integers -9..9, embedded in QQ.
-        return Fraction(rng.randint(-9, 9))
+    def sample_scalar(self, rng: random.Random) -> int:
+        # Uniform on the integers -9..9.
+        return rng.randint(-9, 9)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -134,12 +121,6 @@ class PrimeField:
         if c % self.p == 0:
             raise DivisionByZero(f"0 has no inverse in GF({self.p})")
         return pow(c, -1, self.p)
-
-    def parse_scalar(self, text: str) -> int:
-        return self.coerce(_parse_fraction(text))
-
-    def scalar_sign_split(self, c: int) -> tuple[bool, str]:
-        return False, str(self.coerce(c))
 
     def sample_scalar(self, rng: random.Random) -> int:
         return rng.randrange(self.p)

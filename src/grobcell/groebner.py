@@ -48,11 +48,11 @@ re-keys the pair heap.  The tests keep a Poly-level loop with the normal
 strategy as the oracle this one must match (tests/oracles.py,
 plain_buchberger): a different pair order that must reach the same basis.
 
-Over GF(p) the scalars are the Poly's own, ints in [0, p), so they cross
-the boundary unchanged, and Buchberger keeps G monic.  Over QQ a
-coefficient enters as an int when its denominator is 1 and as a Fraction
-otherwise.  A division that writes quotients is exact: a quotient
-coefficient is brought back to an int whenever its denominator is 1, and a
+The scalars are the Poly's own, so they cross the boundary unchanged:
+over GF(p) ints in [0, p), and Buchberger keeps G monic; over QQ ints when
+integral and Fractions with denominator > 1 otherwise.  A division that
+writes quotients is exact and keeps that format, bringing every quotient
+and working coefficient back to an int whenever its denominator is 1; a
 non-unit leading coefficient divides through Fraction, never through / on
 two ints.  Buchberger needs no quotients and no particular scalar multiple
 of a remainder, so over QQ it stays fraction-free: G holds primitive
@@ -157,17 +157,12 @@ class _PackedDivisors:
 
     def image(self, f: Poly) -> dict:
         pack = self.packing.pack
-        if self.p:
-            return {pack(m): c for m, c in f.terms.items()}
-        return {pack(m): c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
+        return {pack(m): c for m, c in f.terms.items()}
 
     def poly(self, image: dict) -> Poly:
         """The Poly of an image; its leading monomial is the largest int."""
-        unpack, coerce = self.packing.unpack, self.field.coerce
-        if self.p:
-            terms = {unpack(m): c for m, c in image.items()}
-        else:
-            terms = {unpack(m): coerce(c) for m, c in image.items()}
+        unpack = self.packing.unpack
+        terms = {unpack(m): c for m, c in image.items()}
         lm = unpack(max(image)) if image else None
         return Poly(self.field, self.packing.nvars, terms, lm)
 
@@ -232,6 +227,7 @@ class _PackedDivisors:
             leads = self.leads
         p = self.p
         pseudo = not p and quots is None
+        exact = not p and quots is not None  # exact over QQ: keep the scalar format
         heap = [-m for m in work]
         heapq.heapify(heap)
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -266,6 +262,8 @@ class _PackedDivisors:
                         nc = -qc * c2 if prev is None else prev - qc * c2
                         if p:
                             nc %= p
+                        elif exact and type(nc) is Fraction and nc.denominator == 1:
+                            nc = nc.numerator
                         if nc:
                             if prev is None:
                                 heappush(heap, -mm)

@@ -170,8 +170,8 @@ def psi(A: ParamMatrix) -> IdealBasis:
     r * adj(x*I - B) = sum_(k<t) x^k v_k, where v_(t-1) = r and
     v_(k-1) = p_k r + v_k B.  Over QQ the recurrences run on D*B and D*r
     for the lcm D of the denominators of A, which turns the coefficient of
-    x^k into D^(t-k) times its value, divided out at the end; over GF(p) on
-    the residues in [0, p).
+    x^k into D^(t-k) times its value, divided out at the end, to an int
+    whenever D^(t-k) divides it; over GF(p) on the residues in [0, p).
 
     Every element of K[y] is one int: its integer coefficients c_e packed
     as sum_e c_e 2^(w*e), signed (Kronecker substitution y -> 2^w).  A
@@ -263,7 +263,7 @@ def psi(A: ParamMatrix) -> IdealBasis:
             s = scales[k]
             for e, c in enumerate(a):
                 if c:
-                    terms[k, e] = c if p else Fraction(c) if s == 1 else Fraction(c, s)
+                    terms[k, e] = c if p or s == 1 else c // s if c % s == 0 else Fraction(c, s)
             top = (k, len(a) - 1)  # the largest monomial with x^k
             if lm is None or drl_key(top) > drl_key(lm):
                 lm = top

@@ -4,16 +4,18 @@ Monomials are exponent tuples ordered degree-reverse-lexicographically with
 x > y > z: higher total degree wins, and ties go to the monomial with the
 smaller exponent in the last variable, recursively.  A polynomial stores a
 map from monomials to nonzero coefficients plus the field those
-coefficients live in: Fractions over QQ, ints in [0, p) over GF(p), the
-format the packed kernel computes in, so every operation here reduces its
-results mod p.  Values are immutable once built, which is what lets a
-polynomial compute its leading monomial on first use and keep it.
+coefficients live in, in the format the packed kernel computes in: over QQ
+an int when integral and a Fraction with denominator > 1 otherwise, over
+GF(p) an int in [0, p).  So every operation here reduces its results mod
+p, and over QQ brings a Fraction result that is integral back to an int.
+Values are immutable once built, which is what lets a polynomial compute
+its leading monomial on first use and keep it.
 
 One loop, _merge_terms, adds terms into a map and drops those that cancel:
-from_terms, +, - and * here and the packed S-polynomial of the division
-kernel all call it.  The kernel's division heap loop keeps its own, since
-it must also push each monomial that enters the working polynomial onto
-its heap.
+from_terms, +, -, * and mul_term here, the parser and the packed
+S-polynomial of the division kernel all call it.  The kernel's division
+heap loop keeps its own, since it must also push each monomial that enters
+the working polynomial onto its heap.
 
 The one-variable ring is K[y] (entries of parameter matrices), the
 two-variable ring K[x, y] and the three-variable ring K[x, y, z].
@@ -23,9 +25,10 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from operator import mul, neg
 
-from .errors import FieldMismatch, ZeroPolynomial
+from .errors import DivisionByZero, FieldMismatch, ZeroPolynomial
 
 VAR_NAMES = {1: ("y",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
@@ -53,8 +56,9 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
 
 def _merge_terms(acc: dict, items, p: int) -> dict:
     """Add the (key, coefficient) items into acc, reduced mod p when p is
-    nonzero, and drop every key whose coefficient cancels; return acc.  A
-    key is a monomial in either form, an exponent tuple or a packed int."""
+    nonzero and made ints when integral over QQ, and drop every key whose
+    coefficient cancels; return acc.  A key is a monomial in either form,
+    an exponent tuple or a packed int."""
     get, pop = acc.get, acc.pop
     for key, c in items:
         prev = get(key)
@@ -62,6 +66,8 @@ def _merge_terms(acc: dict, items, p: int) -> dict:
             c = prev + c
         if p:
             c %= p
+        elif type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
         if c:
             acc[key] = c
         else:
@@ -207,12 +213,9 @@ class Poly:
         if not c0:
             return Poly.zero(self.field, self.nvars)
         mono = tuple(mono)
-        p = self.field.characteristic
-        return Poly(
-            self.field,
-            self.nvars,
-            {mono_mul(m, mono): c * c0 % p if p else c * c0 for m, c in self.terms.items()},
-        )
+        products = ((mono_mul(m, mono), c * c0) for m, c in self.terms.items())
+        terms = _merge_terms({}, products, self.field.characteristic)
+        return Poly(self.field, self.nvars, terms)
 
     def scale(self, coeff) -> "Poly":
         return self.mul_term((0,) * self.nvars, coeff)
@@ -313,9 +316,11 @@ def parse_poly(text: str, field, nvars: int) -> Poly:
 
     with sign '+' or '-', num a run of decimal digits and var a variable of
     the ring.  Whitespace may separate tokens, never the digits of a number.
-    Exponents of a repeated variable add up.  Errors come in text order,
-    after a scan for foreign characters; a zero denominator in a
-    coefficient raises DivisionByZero.
+    Exponents of a repeated variable add up.  A coefficient num/den is
+    the reduced fraction, then its field element; the signs in front of a
+    term apply to its numerator.  Errors come in text order, after a scan
+    for foreign characters; a zero denominator in a coefficient, or over
+    GF(p) a reduced denominator divisible by p, raises DivisionByZero.
     """
     bad = _FOREIGN.search(text)
     if bad:
@@ -323,6 +328,7 @@ def parse_poly(text: str, field, nvars: int) -> Poly:
     if not text.strip():
         raise ValueError("empty polynomial text")
     names = VAR_NAMES[nvars]
+    p = field.characteristic
     terms, pos = [], 0
     while pos < len(text):
         term = _TERM.match(text, pos)
@@ -331,7 +337,23 @@ def parse_poly(text: str, field, nvars: int) -> Poly:
             raise ValueError(f"missing '+' or '-' before position {pos}")
         if not (num or monos):
             raise ValueError(f"expected a term at position {term.end('sign')}")
-        c = field.parse_scalar(f"{num}/{den}" if den else num) if num else field.one
+        c = int(num) if num else 1
+        if sign.count("-") % 2:
+            c = -c
+        if den:
+            d = int(den)
+            if not d:
+                raise DivisionByZero(f"zero denominator in {num + '/' + den!r}")
+            g = math.gcd(c, d)
+            c, d = c // g, d // g
+            if d == 1:
+                pass
+            elif not p:
+                c = Fraction(c, d)
+            elif d % p:
+                c *= pow(d, -1, p)
+            else:
+                raise DivisionByZero(f"denominator of {abs(c)}/{d} vanishes in GF({p})")
         expts = [0] * nvars
         # drop the whitespace first: int() refuses some that \s matches
         for factor in "".join(monos.split()).split("*") if monos else ():
@@ -339,9 +361,9 @@ def parse_poly(text: str, field, nvars: int) -> Poly:
             if name not in names:
                 raise ValueError(f"variable {name!r} not allowed in {names}")
             expts[names.index(name)] += int(e) if e else 1
-        terms.append((tuple(expts), -c if sign.count("-") % 2 else c))
+        terms.append((tuple(expts), c))
         pos = term.end()
-    return Poly.from_terms(field, nvars, terms)
+    return Poly(field, nvars, _merge_terms({}, terms, p))
 
 
 def format_poly(p: Poly) -> str:
@@ -350,21 +372,17 @@ def format_poly(p: Poly) -> str:
         return "0"
     names = VAR_NAMES[p.nvars]
     out = []
-    for k, (mono, c) in enumerate(p.sorted_terms()):
-        neg, mag = p.field.scalar_sign_split(c)
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, mono)
-            if e
-        ]
+    for mono, c in p.sorted_terms():
+        factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e)
+        c = str(c)
         if not factors:
-            body = mag
-        elif mag == "1":
-            body = "*".join(factors)
+            term = c
+        elif c == "1":
+            term = factors
+        elif c == "-1":
+            term = "-" + factors
         else:
-            body = mag + "*" + "*".join(factors)
-        if k == 0:
-            out.append("-" + body if neg else body)
-        else:
-            out.append(("-" if neg else "+") + body)
-    return "".join(out)
+            term = c + "*" + factors
+        out.append(term if term[0] == "-" else "+" + term)
+    text = "".join(out)
+    return text[1:] if text[0] == "+" else text

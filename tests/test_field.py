@@ -6,32 +6,43 @@ import pytest
 from grobcell import GF, QQ, Poly, char_ok, is_prime, make_cell
 from grobcell.cell import hilbert_function
 from grobcell.errors import DivisionByZero, FieldMismatch
+from grobcell.poly import format_poly, parse_poly
 
 
 def test_rational_arithmetic_is_exact():
-    assert QQ.parse_scalar("2/4") + QQ.parse_scalar("1/4") == Fraction(3, 4)
-    assert -QQ.coerce(-2) == Fraction(2)
-    assert QQ.scalar_sign_split(Fraction(-3)) == (True, "3")
-    assert QQ.scalar_sign_split(Fraction(7, 2)) == (False, "7/2")
+    quarters = parse_poly("2/4", QQ, 1) + parse_poly("1/4", QQ, 1)
+    assert quarters.terms == {(0,): Fraction(3, 4)}
+    assert -QQ.coerce(-2) == 2 and type(QQ.coerce(-2)) is int
+    assert format_poly(Poly.constant(QQ, 1, Fraction(-3))) == "-3"
+    assert format_poly(Poly.constant(QQ, 1, Fraction(7, 2))) == "7/2"
 
 
-def test_rational_sign_split_matches_fraction_rendering():
-    """The sign and magnitude read off numerator and denominator are those
-    of c < 0 and str(abs(c)), byte for byte."""
+def test_rational_rendering_matches_fraction_str():
+    """format_poly renders a rational coefficient as str(c), sign included,
+    alone or in front of a monomial, and parse_poly reads the text back to
+    the same polynomial, an integral coefficient as an int."""
     values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(12), Fraction(-12)]
     values += [Fraction(n, d) for n in (-22, -7, -1, 1, 7, 22) for d in (2, 3, 9)]
     values += [Fraction(-(10**30) - 1, 10**20), Fraction(2**70, 3)]
     for c in values:
-        assert QQ.scalar_sign_split(c) == (c < 0, str(abs(c))), c
+        alone, term = Poly.constant(QQ, 1, c), Poly.monomial(QQ, 1, (2,), c)
+        rendered = {0: "0", 1: "y^2", -1: "-y^2"}.get(c, f"{c}*y^2")
+        assert (format_poly(alone), format_poly(term)) == (str(c), rendered), c
+        for f in (alone, term):
+            again = parse_poly(format_poly(f), QQ, 1)
+            assert again == f
+            scalar_type = int if c.denominator == 1 else Fraction
+            assert all(type(a) is scalar_type for a in again.terms.values())
 
 
 def test_rational_normalization_is_idempotent():
     c = Fraction(2, -4)
     assert (c.numerator, c.denominator) == (-1, 2)
-    negative, magnitude = QQ.scalar_sign_split(c)
-    again = QQ.parse_scalar(("-" if negative else "") + magnitude)
+    f = Poly.constant(QQ, 1, c)
+    again = parse_poly(format_poly(f), QQ, 1).coeff((0,))
     assert again == c
     assert (again.numerator, again.denominator) == (-1, 2)
+    assert QQ.coerce(QQ.coerce(Fraction(6, 3))) == 2 and type(QQ.coerce(Fraction(6, 3))) is int
 
 
 def test_prime_field_inverse():
@@ -41,6 +52,9 @@ def test_prime_field_inverse():
     with pytest.raises(DivisionByZero):
         F7.inv(F7.zero)
     assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert QQ.inv(2) == Fraction(1, 2)
+    for c, inverse in ((Fraction(-1, 3), -3), (1, 1), (-1, -1)):
+        assert QQ.inv(c) == inverse and type(QQ.inv(c)) is int
     with pytest.raises(DivisionByZero):
         QQ.inv(QQ.zero)
 
@@ -49,8 +63,9 @@ def test_prime_field_values_canonical():
     F7 = GF(7)
     assert F7.coerce(-1) == 6 and type(F7.coerce(-1)) is int
     assert F7.coerce(15) == 1
-    assert F7.scalar_sign_split(F7.coerce(-3)) == (False, "4")
-    assert F7.parse_scalar("1/3") == F7.coerce(5)
+    assert format_poly(Poly.constant(F7, 1, -3)) == "4"
+    assert format_poly(parse_poly("-3*y", F7, 1)) == "4*y"
+    assert parse_poly("1/3", F7, 1) == Poly.constant(F7, 1, 5)
     assert (F7.zero, F7.one) == (0, 1)
 
 

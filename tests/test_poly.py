@@ -134,7 +134,10 @@ def test_ring_operations_match_dict_sums(data):
         if p:
             assert all(0 < c < p for c in result.terms.values())
         else:
-            assert all(c and type(c) is Fraction for c in result.terms.values())
+            assert all(
+                type(c) is int and c or type(c) is Fraction and c.denominator > 1
+                for c in result.terms.values()
+            )
     assert f - f == Poly.zero(field, nvars)
     if p == 2:
         assert f + f == Poly.zero(field, nvars)
@@ -283,6 +286,41 @@ def test_text_round_trip_and_shape():
 )
 def test_parse_accepts(text, field, nvars, terms):
     assert parse_poly(text, field, nvars) == Poly.from_terms(field, nvars, terms.items())
+
+
+@pytest.mark.parametrize(
+    "text, field, terms",
+    [
+        ("7/7", GF(7), {(0,): 1}),
+        ("14/7", GF(7), {(0,): 2}),
+        ("7/14", GF(7), {(0,): 4}),
+        ("0/7", GF(7), {}),
+        ("-1/3*y", GF(7), {(1,): 2}),
+        ("00012/0008", QQ, {(0,): Fraction(3, 2)}),
+        ("+ - -3/6*y", QQ, {(1,): Fraction(1, 2)}),
+        ("-4/2*y+6/3", QQ, {(1,): -2, (0,): 2}),
+    ],
+)
+def test_parse_fraction_semantics(text, field, terms):
+    """A coefficient num/den is the reduced fraction, then its field
+    element; the signs in front of the term apply to it."""
+    assert parse_poly(text, field, 1).terms == terms
+
+
+@pytest.mark.parametrize(
+    "text, field, message",
+    [
+        ("1/7", GF(7), "denominator of 1/7 vanishes in GF(7)"),
+        ("3/14", GF(7), "denominator of 3/14 vanishes in GF(7)"),
+        ("y-2/14", GF(7), "denominator of 1/7 vanishes in GF(7)"),
+        ("0/0", QQ, "zero denominator in '0/0'"),
+        ("y+5/00*y", GF(7), "zero denominator in '5/00'"),
+    ],
+)
+def test_parse_fraction_errors(text, field, message):
+    with pytest.raises(DivisionByZero) as exc:
+        parse_poly(text, field, 1)
+    assert str(exc.value) == message
 
 
 # Text parse_poly refuses, with the error it raises, in ring K[y] (1),

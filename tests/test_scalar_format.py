@@ -1,5 +1,6 @@
 """Every coefficient that an operation hands back is in its field's one
-scalar format: a Fraction over QQ, an int in (0, p) over GF(p)."""
+scalar format: over QQ an int when integral and a Fraction with
+denominator > 1 otherwise, over GF(p) an int in (0, p)."""
 
 import random
 from fractions import Fraction
@@ -28,13 +29,37 @@ def assert_format(*polys):
     for f in polys:
         for c in f.terms.values():
             if f.field == QQ:
-                assert type(c) is Fraction, (f, c)
+                assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (f, c)
             else:
                 assert type(c) is int and 0 < c < f.field.p, (f, c)
 
 
 def assert_matrix_format(M):
     assert_format(*(e for row in M.entries for e in row))
+
+
+def test_fraction_arithmetic_landing_on_integers():
+    """Fraction results that are integral come back as ints."""
+
+    def P(text, nvars=2):
+        return parse_poly(text, QQ, nvars)
+
+    cases = {
+        "1/2*y + 1/2*y": (P("1/2*y") + P("1/2*y"), {(0, 1): 1}),
+        "(2/3*x)*(3/2*y)": (P("2/3*x") * P("3/2*y"), {(1, 1): 1}),
+        "monic(2/3*x + 4/3)": (P("2/3*x+4/3").monic(), {(1, 0): 1, (0, 0): 2}),
+        "3/2*y - 1/2*y": (P("3/2*y") - P("1/2*y"), {(0, 1): 1}),
+        "(x+1/3) * 3": (P("x+1/3").scale(3), {(1, 0): 3, (0, 0): 1}),
+        "1/2 * 4/3*x*y, shifted by y": (P("4/3*x").mul_term((0, 1), Fraction(3, 2)), {(1, 1): 2}),
+        "2/3*x + 1/3*x": (P("2/3*x+1/3*x"), {(1, 0): 1}),
+        "divide(x^2 - 1/4, x - 1/2)": (divide(P("x^2-1/4"), [P("x-1/2")]).quotients[0],
+                                      {(1, 0): 1, (0, 0): Fraction(1, 2)}),
+    }
+    for name, (f, terms) in cases.items():
+        assert f.terms == terms, name
+        assert_format(f)
+    assert divide(P("x^2-1/4"), [P("2*x-1")]).quotients[0].terms == {
+        (1, 0): Fraction(1, 2), (0, 0): Fraction(1, 4)}
 
 
 @st.composite
