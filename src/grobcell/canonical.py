@@ -32,15 +32,8 @@ from .errors import (
     WrongInitialIdeal,
 )
 from .groebner import GroebnerBasis, _PackedDivisors, buchberger, divide, initial_ideal
-from .hilburch import IdealBasis, ParamMatrix, critical_reductions, psi
+from .hilburch import IdealBasis, ParamMatrix, critical_reductions, grade_bound, psi
 from .poly import Poly, drl_key
-
-
-def grade_bound(cell: MonomialCell, i: int, j: int) -> int:
-    """Degree cap guaranteed for slot (i, j) of a raw syzygy matrix: one
-    less than the entry degree above the diagonal, the entry degree below."""
-    u = cell.u(i, j)
-    return u - 1 if i <= j else u
 
 
 def _max_raw_bound(cell: MonomialCell) -> int:

@@ -20,6 +20,7 @@ from .canonical import _canonicalize, canonical_matrix
 from .errors import BadMVector, InternalError, InternalReductionFailure, ValidationError
 from .field import GF, QQ
 from .hilburch import (
+    _failing_column,
     param_matrix_from_json,
     param_matrix_to_json,
     psi,
@@ -245,8 +246,11 @@ def _cmd_psi(args, out):
 def _cmd_verify(args, out):
     A = _load_matrix(args)
     basis = psi(A)
-    if not verify_groebner_property(basis):
-        raise InternalError("critical S-polynomials fail to reduce to zero")
+    if not verify_groebner_property(basis, A):
+        raise InternalError(
+            f"column {_failing_column(basis, A)} of X+A is not a syzygy of psi(A) "
+            "within its raw bounds"
+        )
     t = A.cell.t
     if args.json:
         _emit_json(out, {"ok": True, "s_pairs": t, "m": list(A.cell.m)})
@@ -364,7 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_psi)
 
-    p = sub.add_parser("verify", help="certify the matrix presents its cell")
+    p = sub.add_parser(
+        "verify",
+        help="certify the matrix presents its cell",
+        description=(
+            "Compute psi(A) and certify it is a Groebner basis whose initial "
+            "ideal is I0, without dividing: each column of X+A is checked to be "
+            "a syzygy of psi(A) within the degree bounds that make it an lcm "
+            "representation of one of the t critical S-pairs."
+        ),
+    )
     p.add_argument("--m", default=None)
     p.add_argument("--matrix", required=True)
     add_field_flags(p)

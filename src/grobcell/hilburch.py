@@ -12,6 +12,12 @@ y -> 2^w), signed, with one width w per call that psi's docstring proves
 wide enough.  A product in K[y] is then one int product and a sum one int
 sum; coefficient lists are read back only from the results over QQ, and
 over GF(p) also from each step, to reduce them mod p.
+
+verify_groebner_property certifies that such a basis is a Groebner basis
+without dividing: each column of X + A, within its raw degree bounds, is a
+syzygy of f_0..f_t and so an lcm representation of one critical S-pair,
+and each syzygy is checked as one identity on Kronecker-packed ints in
+K[x, y].
 """
 
 from __future__ import annotations
@@ -21,12 +27,16 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import attrgetter, itemgetter
 
 from .cell import MonomialCell, hilbert_function, make_cell
-from .errors import BoundViolation, InternalError, LeadingTermMismatch
+from .errors import BoundViolation, FieldMismatch, InternalError, LeadingTermMismatch
 from .field import char_ok, field_from_json
 from .groebner import _PackedDivisors
 from .poly import Poly, drl_key, format_poly, parse_poly
+
+_terms, _x, _y = attrgetter("terms"), itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -278,16 +288,78 @@ def psi(A: ParamMatrix) -> IdealBasis:
     return IdealBasis(cell, tuple(polys))
 
 
-def verify_groebner_property(basis: IdealBasis) -> bool:
-    """Certify the basis is a Groebner basis by reducing the t critical
-    S-polynomials y^(d_i) f_(i-1) - x f_i; no full Buchberger run needed."""
-    cell = basis.cell
-    t = cell.t
-    fs = basis.polys
+def grade_bound(cell: MonomialCell, i: int, j: int) -> int:
+    """Degree cap guaranteed for slot (i, j) of a raw syzygy matrix: one
+    less than the entry degree above the diagonal, the entry degree below."""
+    u = cell.u(i, j)
+    return u - 1 if i <= j else u
+
+
+def verify_groebner_property(basis: IdealBasis, A: ParamMatrix) -> bool:
+    """Certify that f_0..f_t is a Groebner basis by the syzygies X + A of
+    its elements, with no division.  A is a matrix over the basis's cell
+    and field whose entries keep their raw bounds, such as an admissible A
+    with basis psi(A), or the raw matrix canonical.extract_syzygies reads
+    off a Groebner basis.  Returns True when
+
+    * every nonzero a_ij has degree at most grade_bound(i, j), and
+    * every column j is a syzygy of f_0..f_t:
+      y^(d_j) f_(j-1) - x f_j + sum_i a_ij f_(i-1) = 0;
+
+    raises LeadingTermMismatch unless each f_i is monic with leading
+    monomial x^(t-i) y^(m_i).
+
+    Why that certifies: the S-polynomial of the adjacent pair f_(j-1), f_j
+    is S_j = y^(d_j) f_(j-1) - x f_j, with lcm L_j = x^(t-j+1) y^(m_j), and
+    the identity writes S_j = -sum_i a_ij f_(i-1).  For a nonzero a_ij of
+    degree e, the leading monomial of a_ij f_(i-1) is
+    x^(t-i+1) y^(m_(i-1)+e), and deg L_j - (t-i+1 + m_(i-1)) =
+    i - j + m_j - m_(i-1) = u(i, j).  If e < u(i, j) it has a smaller total
+    degree than L_j, so it is DRL-below L_j.  If e = u(i, j), which the
+    bound allows only for i > j, the degrees tie and its x exponent
+    t-i+1 is below t-j+1; DRL breaks a tie by the larger x exponent, so it
+    is below L_j again.  So each column is an lcm representation of S_j.
+    For i < k - 1 the lcm x^(t-i) y^(m_k) of f_i and f_k is divisible by
+    the leading monomial of every f_l in between, so the chain criterion
+    reduces the pair to the adjacent pairs i..k, and every S-pair has an
+    lcm representation: by Buchberger's criterion in that form
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sec. 9)
+    f_0..f_t is a Groebner basis.  On psi(A) the identity always holds:
+    column j set beside X + A makes a square matrix with a repeated column,
+    and expanding its determinant along that column gives the sum.
+
+    Each identity is one int: f_0..f_t and the entries of X + A are packed
+    by Kronecker substitution y -> 2^w, x -> 2^(wY), with Y beyond every
+    y exponent in the sum.  Packing is a ring homomorphism Z[x, y] -> Z,
+    one to one on polynomials whose y exponents stay below Y and whose
+    coefficients lie in [-2^(w-1), 2^(w-1)).  Over QQ the f_i are scaled
+    by the lcm of their denominators and X + A by the lcm D of A's, so
+    the column is an int that must be 0; over GF(p) the coefficients are
+    the residues in [0, p) and every digit of the column must vanish mod
+    p.  With F the largest absolute coefficient of the scaled f_i, no
+    coefficient of a column exceeds F * (2D + sum_i |D a_ij|_1), with
+    |.|_1 the sum of absolute coefficients, before any cancellation; w is
+    the fewest whole bytes that hold that bound and a sign bit, over GF(p)
+    at least 8, so a digit decodes as one machine word.  Building the ints
+    costs a few Python steps per term of the f_i and per nonzero slot of
+    A."""
+    return not _failing_column(basis, A)
+
+
+def _failing_column(basis: IdealBasis, A: ParamMatrix) -> int:
+    """0 when verify_groebner_property(basis, A) holds, otherwise the
+    column j (1-based) that fails it: the column of the first slot over
+    its raw bound in row-major order, else the first column that is not a
+    syzygy."""
+    cell, fs, field = basis.cell, basis.polys, A.field
+    t, p = cell.t, field.characteristic
+    if A.cell != cell:
+        raise ValueError(f"the matrix is one of {A.cell}, the basis of {cell}")
     if len(fs) != t + 1:
         raise LeadingTermMismatch(f"expected {t + 1} polynomials, got {len(fs)}")
-    field = fs[0].field
     for i, f in enumerate(fs):
+        if f.field != field:
+            raise FieldMismatch(f"f_{i} lives in {f.field}, the matrix in {field}")
         expected = (t - i, cell.m[i])
         if f.is_zero() or f.leading_monomial() != expected:
             raise LeadingTermMismatch(
@@ -295,8 +367,59 @@ def verify_groebner_property(basis: IdealBasis) -> bool:
             )
         if f.leading_coeff() != field.one:
             raise LeadingTermMismatch(f"f_{i} must be monic")
-    _, reductions = critical_reductions(basis)
-    return not any(rem for _, rem in reductions)
+    cols, top = [[] for _ in range(t)], 0  # top: the largest entry degree
+    for i, row in enumerate(A.entries, 1):
+        for j in compress(range(t), map(_terms, row)):  # the nonzero slots
+            deg = row[j].degree()
+            if deg > grade_bound(cell, i, j + 1):
+                return j + 1
+            cols[j].append((i - 1, row[j]))
+            top = max(top, deg)
+    D = 1 if p else math.lcm(
+        *(c.denominator for col in cols for _, a in col for c in a.terms.values())
+    )
+    cols = [[(i, _ky(a, D, p)) for i, a in col] for col in cols]
+    vals = [list(f.terms.values()) for f in fs]
+    if not p and any(Fraction in set(map(type, v)) for v in vals):
+        Df = math.lcm(*(c.denominator for v in vals for c in v))
+        vals = [[c.numerator * (Df // c.denominator) for c in v] for v in vals]
+    bound = max(max(map(abs, v)) for v in vals) * (
+        2 * D + max(sum(sum(map(abs, a)) for _, a in col) for col in cols)
+    )
+    s = (bound.bit_length() + 8) // 8  # bytes per digit: 8s >= bits + 1
+    if p:
+        s = max(s, 8)
+    w, half = 8 * s, 1 << (8 * s - 1)
+    Y = 1 + max(max(map(_y, f.terms)) for f in fs) + max(max(cell.d), top)
+    n = (max(max(map(_x, f.terms)) for f in fs) + 2) * Y  # digits of any sum
+    zero = half.to_bytes(s, "little") * n  # every digit offset by half
+    H = int.from_bytes(zero, "little")
+    packed = []
+    for f, v in zip(fs, vals):
+        buf = bytearray(zero)
+        for (a, b), c in zip(f.terms, v):
+            k = (b + Y * a) * s
+            buf[k : k + s] = (c + half).to_bytes(s, "little")
+        packed.append(int.from_bytes(buf, "little") - H)
+    for j, col in enumerate(cols, 1):
+        total = (packed[j - 1] << w * cell.d_of(j)) - (packed[j] << w * Y)
+        if D != 1:
+            total *= D
+        for i, a in col:
+            total += _pack(a, w) * packed[i]
+        if not total:
+            continue
+        if not p or any(map(p.__rmod__, map(half.__rsub__, _digits(total + H, s, n)))):
+            return j
+    return 0
+
+
+def _digits(a: int, s: int, n: int) -> set:
+    """The distinct digits of a nonnegative int below 2^(8sn), base 2^(8s)."""
+    b = a.to_bytes(s * n, "little")
+    if s == 8:
+        return set(memoryview(b).cast("Q"))
+    return {int.from_bytes(b[k : k + s], "little") for k in range(0, len(b), s)}
 
 
 def critical_reductions(basis: IdealBasis):

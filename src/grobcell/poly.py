@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul, neg
+from operator import getitem, itemgetter, mul, neg
 
 from .errors import DivisionByZero, FieldMismatch, ZeroPolynomial
 
@@ -251,10 +251,6 @@ class Poly:
     def coeff(self, mono: tuple):
         return self.terms.get(tuple(mono), self.field.zero)
 
-    def sorted_terms(self) -> list:
-        """Terms as (monomial, coefficient) pairs, DRL-descending."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=drl_key, reverse=True)]
-
     # -- ring changes ----------------------------------------------------
 
     def __eq__(self, other):
@@ -366,23 +362,40 @@ def parse_poly(text: str, field, nvars: int) -> Poly:
     return Poly(field, nvars, _merge_terms({}, terms, p))
 
 
+class _Powers(dict):
+    """The rendered factors of one variable's powers by exponent, each with
+    the "*" that joins it to what comes before: "" for 0, "*y" for 1,
+    "*y^e" otherwise, each rendered when first asked for."""
+
+    def __init__(self, name: str):
+        super().__init__({0: "", 1: "*" + name})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        s = self[e] = f"*{self.name}^{e}"
+        return s
+
+
+_XY = itemgetter(0, 1)
+
+
 def format_poly(p: Poly) -> str:
-    """Render DRL-descending in the same grammar parse_poly accepts."""
-    if p.is_zero():
+    """Render DRL-descending in the same grammar parse_poly accepts.
+
+    DRL-descending is descending (deg, x) in two variables and
+    (deg, x+y, x) in three; the sort keys end with the exponent tuple,
+    whose first entry x breaks the ties the sums leave."""
+    terms = p.terms
+    if not terms:
         return "0"
-    names = VAR_NAMES[p.nvars]
+    powers = [_Powers(name) for name in VAR_NAMES[p.nvars]]
+    sums = (map(sum, terms), map(sum, map(_XY, terms))) if p.nvars == 3 else (map(sum, terms),)
     out = []
-    for mono, c in p.sorted_terms():
-        factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e)
-        c = str(c)
-        if not factors:
-            term = c
-        elif c == "1":
-            term = factors
-        elif c == "-1":
-            term = "-" + factors
+    for *_, mono in sorted(zip(*sums, terms), reverse=True):
+        factors = "".join(map(getitem, powers, mono))
+        c = str(terms[mono])
+        if factors and (c == "1" or c == "-1"):  # a unit coefficient is not printed
+            out.append(c[:-1] + factors[1:])
         else:
-            term = c + "*" + factors
-        out.append(term if term[0] == "-" else "+" + term)
-    text = "".join(out)
-    return text[1:] if text[0] == "+" else text
+            out.append(c + factors)
+    return "+".join(out).replace("+-", "-")

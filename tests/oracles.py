@@ -21,6 +21,8 @@ compares the package against.  None of them is part of grobcell's API.
   exactly when no minimal generator of the initial ideal involves z.
 * `minimalize_homogeneous` counts a minimal homogeneous generating set per
   degree with Buchberger, the Groebner oracle for the Betti numbers.
+* `plain_format_poly` is the plain text renderer, one `drl_key` sort and
+  one term at a time, that `format_poly` must match byte for byte.
 * `is_homogeneous`, `NotHomogeneous` and `NotGroebner` serve the checks
   above.
 """
@@ -44,6 +46,7 @@ from grobcell.groebner import (
 )
 from grobcell.hilburch import ParamMatrix
 from grobcell.poly import (
+    VAR_NAMES,
     Poly,
     drl_key,
     homogenize,
@@ -316,3 +319,25 @@ def ideal_dehomogenize(polys) -> list:
     if not is_groebner(polys):
         raise NotGroebner("input basis fails the S-polynomial test")
     return [dehomogenize(F) for F in polys]
+
+
+def plain_format_poly(p: Poly) -> str:
+    """Render p DRL-descending in the grammar parse_poly accepts."""
+    if p.is_zero():
+        return "0"
+    names = VAR_NAMES[p.nvars]
+    out = []
+    for mono in sorted(p.terms, key=drl_key, reverse=True):
+        factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e)
+        c = str(p.terms[mono])
+        if not factors:
+            term = c
+        elif c == "1":
+            term = factors
+        elif c == "-1":
+            term = "-" + factors
+        else:
+            term = c + "*" + factors
+        out.append(term if term[0] == "-" else "+" + term)
+    text = "".join(out)
+    return text[1:] if text[0] == "+" else text

@@ -427,7 +427,8 @@ def test_canonical_matrix_of_psi_equals_buchberger_route(cell, field, seed):
 )
 def test_canonical_matrix_with_moves_equals_buchberger_route(cell, field, seed):
     basis = perturbed_basis(cell, field, seed)
-    assert verify_groebner_property(basis)
+    stripped = _strip_x_t_tails(basis)
+    assert verify_groebner_property(stripped, extract_syzygies(stripped))
     assert canonical_matrix(basis) == canonicalize(list(basis.polys), cell)
 
 

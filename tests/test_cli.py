@@ -319,6 +319,22 @@ def test_verify_json_golden(ex3_matrix_file):
     )
 
 
+def test_verify_defect_names_the_failing_column(monkeypatch, ex3_matrix_file):
+    # x in the tail of f_t keeps every leading term but breaks each column
+    # with a nonzero entry in row t+1; in the worked example a_41 = -1
+    def broken_psi(A):
+        fs = psi(A).polys
+        x = Poly.monomial(A.field, 2, (1, 0))
+        return IdealBasis(A.cell, fs[:-1] + (fs[-1] + x,))
+
+    monkeypatch.setattr("grobcell.cli.psi", broken_psi)
+    code, out, err = invoke(["verify", "--matrix", ex3_matrix_file])
+    assert code == 3 and out == ""
+    assert err == (
+        "defect[INTERNAL]: column 1 of X+A is not a syzygy of psi(A) within its raw bounds\n"
+    )
+
+
 def test_field_qq_flag_is_the_default_field(ex3_matrix_file):
     plain = invoke(["psi", "--matrix", ex3_matrix_file])
     assert plain[0] == 0

@@ -176,6 +176,13 @@ def test_divide_matches_rescanning_division(case):
 @settings(max_examples=200, deadline=None)
 @given(division_cases(fields=[QQ]), st.booleans())
 @example((P("x^2+y"), [P("2*y+1")]), False)
+@example(  # integral leading coefficients: their quotient is a Fraction, not a float
+    (
+        parse_poly("x^2*y*z+9/4*x*y*z-1/2*y*z+9/4*z^2+9/4*x+3/4", QQ, 3),
+        [parse_poly(s, QQ, 3) for s in ("-3/2*z^2", "-3/2*x*y*z+1/3*y*z-3/2*x-3/2", "-x^2*z")],
+    ),
+    False,
+)
 def test_remainder_only_division_is_a_multiple_of_the_exact_remainder(case, in_ideal):
     """Over QQ, _PackedDivisors.divide without quotients, on the primitive
     images of the divisors and the dividend, stays in ints and returns a
@@ -198,7 +205,7 @@ def test_remainder_only_division_is_a_multiple_of_the_exact_remainder(case, in_i
     got = packed.poly(rem)
     assert got.terms.keys() == want.terms.keys()
     if want:
-        ratio = got.leading_coeff() / want.leading_coeff()
+        ratio = got.leading_coeff() * QQ.inv(want.leading_coeff())
         assert all(c == ratio * want.terms[m] for m, c in got.terms.items())
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grobcell import GF, QQ, make_cell, psi, sample
+from grobcell.canonical import _strip_x_t_tails, extract_syzygies
 from grobcell.errors import (
     BoundViolation,
     DivisionByZero,
@@ -19,6 +20,8 @@ from grobcell.groebner import divide
 from grobcell.field import MAX_PRIME, is_prime
 from grobcell.hilburch import (
     IdealBasis,
+    ParamMatrix,
+    _failing_column,
     _pack,
     _unpack,
     check_membership,
@@ -28,7 +31,7 @@ from grobcell.hilburch import (
     verify_groebner_property,
 )
 from grobcell.cell import MAX_COLENGTH, param_count
-from grobcell.poly import Poly, parse_poly
+from grobcell.poly import Poly, drl_key, parse_poly
 
 from conftest import (
     EX3_A_ROWS,
@@ -37,12 +40,14 @@ from conftest import (
     M_EX3,
     cells,
     param_matrix_from_strings,
+    perturbed_basis,
     with_fractions,
     zero_matrix,
 )
 from oracles import (
     enumerate_lex_segment_cells,
     hb_matrix,
+    is_groebner,
     maximal_minors,
     permutation_determinant,
 )
@@ -271,16 +276,98 @@ def test_verify_groebner_property():
     cell = make_cell(M_EX1)
     A = zero_matrix(cell, QQ)
     basis = psi(A)
-    assert verify_groebner_property(basis)
+    assert verify_groebner_property(basis, A)
     # perturb f_0 by a same-degree tail term the bounds would never allow
     fs = list(basis.polys)
     fs[0] = fs[0] + parse_poly("y^3", QQ, 2)
-    assert not verify_groebner_property(IdealBasis(cell, tuple(fs)))
+    assert not verify_groebner_property(IdealBasis(cell, tuple(fs)), A)
     # wrong leading term is a contract violation, not a False
     fs = list(basis.polys)
     fs[0] = parse_poly("y^12", QQ, 2)
     with pytest.raises(LeadingTermMismatch):
-        verify_groebner_property(IdealBasis(cell, tuple(fs)))
+        verify_groebner_property(IdealBasis(cell, tuple(fs)), A)
+
+
+def test_verify_groebner_property_raw_bounds_and_contract():
+    cell = make_cell(M_EX3)
+    A = param_matrix_from_strings(cell, QQ, EX3_A_ROWS)
+    basis = psi(A)
+    assert verify_groebner_property(basis, A)
+    # a changed constant in slot (1,1) breaks column 1; slot (1,3) may
+    # reach degree u(1,3) - 1 = 2, and the bounds are checked first
+    rows = [list(r) for r in A.entries]
+    rows[0][0] = rows[0][0] + parse_poly("1", QQ, 1)
+    assert _failing_column(basis, ParamMatrix(cell, QQ, tuple(map(tuple, rows)))) == 1
+    rows[0][2] = rows[0][2] + parse_poly("y^3", QQ, 1)
+    changed = ParamMatrix(cell, QQ, tuple(map(tuple, rows)))
+    assert not verify_groebner_property(basis, changed)
+    assert _failing_column(basis, changed) == 3
+    with pytest.raises(FieldMismatch):
+        verify_groebner_property(basis, zero_matrix(cell, GF(7)))
+    with pytest.raises(ValueError):
+        verify_groebner_property(basis, zero_matrix(make_cell(M_EX1), QQ))
+
+
+def test_verify_groebner_property_digits_wider_than_a_word():
+    # over GF(2^61 - 1) a column's coefficients need more than 64 bits
+    field = GF(2**61 - 1)
+    cell = make_cell(M_EX1)
+    A = sample(cell, field, 5)
+    basis = psi(A)
+    assert verify_groebner_property(basis, A)
+    fs = list(basis.polys)
+    fs[-1] = fs[-1] + Poly.monomial(field, 2, (0, 0))
+    # row t+1 of X + A is zero but for its -x in column t: u(4, 1), u(4, 2) < 0
+    assert _failing_column(IdealBasis(cell, tuple(fs)), A) == cell.t
+
+
+def _divisions_certify(basis):
+    """The division certificate: every critical remainder is zero."""
+    _, reductions = critical_reductions(basis)
+    return not any(rem for _, rem in reductions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=cells(),
+    field=st.sampled_from([QQ, GF(10007), GF(3), GF(2)]),
+    seed=st.integers(0, 2**32 - 1),
+    mono=st.sampled_from([(1, 0), (0, 1), (0, 0)]),
+)
+def test_syzygy_certificate_agrees_with_critical_divisions(cell, field, seed, mono):
+    """On psi(A) both certificates hold.  Adding x, y or 1 to the tail of
+    an f_i breaks a column of X + A, and the divisions agree with the
+    S-pair oracle.  Changing one nonzero slot of A breaks its column.  The
+    raw matrix read off a stripped, perturbed Groebner basis certifies it,
+    with entries up to their raw bounds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small characteristic
+        A = sample(cell, field, seed)
+        raw_basis = _strip_x_t_tails(perturbed_basis(cell, field, seed))
+    rng = random.Random(seed)
+    if field == QQ:
+        A = with_fractions(A, rng)
+    basis = psi(A)
+    assert verify_groebner_property(basis, A) and _divisions_certify(basis)
+
+    fs = list(basis.polys)
+    below = [k for k, f in enumerate(fs) if drl_key(mono) < drl_key(f.leading_monomial())]
+    if below:  # on m = (0, 1), x lies below neither leading monomial x, y
+        i = rng.choice(below)
+        fs[i] = fs[i] + Poly.monomial(field, 2, mono)
+        perturbed = IdealBasis(cell, tuple(fs))
+        assert not verify_groebner_property(perturbed, A)
+        assert _divisions_certify(perturbed) == is_groebner(fs)
+
+    slots = [(r, c) for r, row in enumerate(A.entries) for c, a in enumerate(row) if a]
+    if slots:
+        r, c = rng.choice(slots)
+        rows = [list(row) for row in A.entries]
+        rows[r][c] = rows[r][c] + Poly.constant(field, 1, 1)
+        changed = ParamMatrix(cell, field, tuple(map(tuple, rows)))
+        assert not verify_groebner_property(basis, changed)
+
+    assert verify_groebner_property(raw_basis, extract_syzygies(raw_basis))
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,7 @@ from grobcell.poly import (
 )
 
 from conftest import EX3_GENS, term_items
-from oracles import dehomogenize, embed, is_homogeneous
+from oracles import dehomogenize, embed, is_homogeneous, plain_format_poly
 
 
 def P(s, field=QQ, nvars=2):
@@ -264,6 +264,33 @@ def test_text_round_trip_and_shape():
     assert format_poly(P("-x-1")) == "-x-1"
     assert format_poly(Poly.zero(QQ, 2)) == "0"
     assert format_poly(P("7/2*x*y")) == "7/2*x*y"
+
+
+@st.composite
+def rendered_polys(draw):
+    """Polynomials in 1-3 variables over QQ (with fractions), GF(2) and
+    GF(10007): zero, constants, +-1 coefficients and multi-digit exponents
+    all occur."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(10007)]))
+    nvars = draw(st.integers(1, 3))
+    mono = st.tuples(*[st.sampled_from([0, 0, 1, 1, 2, 3, 10, 12])] * nvars)
+    coeff = st.one_of(
+        st.sampled_from([1, -1, 0, 2, -2]),
+        st.integers(-(10**30), 10**30),
+        st.fractions(max_denominator=50) if field == QQ else st.integers(-5, 5),
+    )
+    items = draw(st.lists(st.tuples(mono, coeff), max_size=12))
+    return Poly.from_terms(field, nvars, items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rendered_polys())
+@example(Poly.zero(QQ, 1))
+@example(Poly.constant(QQ, 3, -1))
+@example(Poly.constant(GF(2), 2, 1))
+@example(Poly.from_terms(QQ, 3, [((1, 0, 0), -1), ((0, 1, 0), 1), ((0, 0, 1), Fraction(-1, 2))]))
+def test_format_poly_matches_plain_renderer(f):
+    assert format_poly(f) == plain_format_poly(f)
 
 
 @pytest.mark.parametrize(
