@@ -339,10 +339,9 @@ def verify_groebner_property(basis: IdealBasis, A: ParamMatrix) -> bool:
     p.  With F the largest absolute coefficient of the scaled f_i, no
     coefficient of a column exceeds F * (2D + sum_i |D a_ij|_1), with
     |.|_1 the sum of absolute coefficients, before any cancellation; w is
-    the fewest whole bytes that hold that bound and a sign bit, over GF(p)
-    at least 8, so a digit decodes as one machine word.  Building the ints
-    costs a few Python steps per term of the f_i and per nonzero slot of
-    A."""
+    the fewest whole bytes that hold that bound and a sign bit.  Building
+    the ints costs a few Python steps per term of the f_i and per nonzero
+    slot of A."""
     return not _failing_column(basis, A)
 
 
@@ -387,8 +386,6 @@ def _failing_column(basis: IdealBasis, A: ParamMatrix) -> int:
         2 * D + max(sum(sum(map(abs, a)) for _, a in col) for col in cols)
     )
     s = (bound.bit_length() + 8) // 8  # bytes per digit: 8s >= bits + 1
-    if p:
-        s = max(s, 8)
     w, half = 8 * s, 1 << (8 * s - 1)
     Y = 1 + max(max(map(_y, f.terms)) for f in fs) + max(max(cell.d), top)
     n = (max(max(map(_x, f.terms)) for f in fs) + 2) * Y  # digits of any sum
@@ -417,8 +414,6 @@ def _failing_column(basis: IdealBasis, A: ParamMatrix) -> int:
 def _digits(a: int, s: int, n: int) -> set:
     """The distinct digits of a nonnegative int below 2^(8sn), base 2^(8s)."""
     b = a.to_bytes(s * n, "little")
-    if s == 8:
-        return set(memoryview(b).cast("Q"))
     return {int.from_bytes(b[k : k + s], "little") for k in range(0, len(b), s)}
 
 

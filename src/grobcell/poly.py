@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import getitem, itemgetter, mul, neg
+from operator import itemgetter, mul, neg
 
 from .errors import DivisionByZero, FieldMismatch, ZeroPolynomial
 
@@ -362,20 +362,6 @@ def parse_poly(text: str, field, nvars: int) -> Poly:
     return Poly(field, nvars, _merge_terms({}, terms, p))
 
 
-class _Powers(dict):
-    """The rendered factors of one variable's powers by exponent, each with
-    the "*" that joins it to what comes before: "" for 0, "*y" for 1,
-    "*y^e" otherwise, each rendered when first asked for."""
-
-    def __init__(self, name: str):
-        super().__init__({0: "", 1: "*" + name})
-        self.name = name
-
-    def __missing__(self, e: int) -> str:
-        s = self[e] = f"*{self.name}^{e}"
-        return s
-
-
 _XY = itemgetter(0, 1)
 
 
@@ -388,11 +374,13 @@ def format_poly(p: Poly) -> str:
     terms = p.terms
     if not terms:
         return "0"
-    powers = [_Powers(name) for name in VAR_NAMES[p.nvars]]
+    names = VAR_NAMES[p.nvars]
     sums = (map(sum, terms), map(sum, map(_XY, terms))) if p.nvars == 3 else (map(sum, terms),)
     out = []
     for *_, mono in sorted(zip(*sums, terms), reverse=True):
-        factors = "".join(map(getitem, powers, mono))
+        factors = "".join(
+            [f"*{n}^{e}" if e > 1 else "*" + n if e else "" for n, e in zip(names, mono)]
+        )
         c = str(terms[mono])
         if factors and (c == "1" or c == "-1"):  # a unit coefficient is not printed
             out.append(c[:-1] + factors[1:])
