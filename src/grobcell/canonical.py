@@ -9,7 +9,9 @@ such a basis directly (for example psi(A), which it certifies on the way):
 it strips x^t from the tails of f_1..f_t, reads a raw parameter matrix A
 off the reductions of the t critical S-polynomials, then shrinks oversized
 entries with paired row/column reduction moves until every slot satisfies
-the cell's degree bounds.
+the cell's degree bounds.  The moves carry f_0..f_t along, and
+`canonicalize` certifies the carried basis by the syzygies X + A
+(verify_groebner_property), which makes it psi(A) and the input ideal's.
 
 The working matrix holds the K[y] entries of A alone, in a ParamMatrix;
 X stays implicit.  One scan per matrix state, _find_violation, checks
@@ -21,19 +23,27 @@ it is carried out as univariate updates of A.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import accumulate
 
 from .cell import MonomialCell, cell_from_minimal_generators
 from .errors import (
     InternalError,
     InternalReductionFailure,
+    LeadingTermMismatch,
     MoveNotApplicable,
     NonTerminationGuard,
     WrongInitialIdeal,
 )
-from .groebner import GroebnerBasis, _PackedDivisors, buchberger, divide, initial_ideal
-from .hilburch import IdealBasis, ParamMatrix, critical_reductions, grade_bound, psi
-from .poly import Poly, drl_key
+from .groebner import GroebnerBasis, buchberger, divide, initial_ideal
+from .hilburch import (
+    IdealBasis,
+    ParamMatrix,
+    critical_reductions,
+    grade_bound,
+    verify_groebner_property,
+)
+from .poly import Poly, drl_key, mono_div, mono_divides
 
 
 def _max_raw_bound(cell: MonomialCell) -> int:
@@ -58,19 +68,12 @@ def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell = None) -> IdealBasis
     given, cell = cell, cell_from_minimal_generators(initial_ideal(gb))
     if given is not None and given != cell:
         raise WrongInitialIdeal(f"initial ideal is the one of {cell}, expected {given}")
-    t, field = cell.t, gb.field
+    leads = {g.leading_monomial(): g for g in gb.elements}  # distinct: gb is reduced
     fs = []
-    for i in range(t + 1):
-        target = (t - i, cell.m[i])
-        best = None
-        for g in gb.elements:
-            lm = g.leading_monomial()
-            if lm[0] <= target[0] and lm[1] <= target[1]:
-                if best is None or drl_key(lm) > drl_key(best.leading_monomial()):
-                    best = g
-        lm = best.leading_monomial()
-        shift = (target[0] - lm[0], target[1] - lm[1])
-        fs.append(best.mul_term(shift, field.one) if any(shift) else best)
+    for target in zip(range(cell.t, -1, -1), cell.m):  # x^(t-i) y^(m_i)
+        lm = max((m for m in leads if mono_divides(m, target)), key=drl_key)
+        shift = mono_div(target, lm)
+        fs.append(leads[lm].mul_term(shift, gb.field.one) if any(shift) else leads[lm])
     return IdealBasis(cell, tuple(fs))
 
 
@@ -125,14 +128,16 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
     return ParamMatrix(cell, field, rows)
 
 
-def reduction_move(M: ParamMatrix, i: int, j: int) -> ParamMatrix:
+def reduction_move(M: ParamMatrix, basis: IdealBasis, i: int, j: int) -> tuple:
     """Divide the slot (i, j) by the governing diagonal pivot y^(d) + a and
     apply the paired row/column operation on X + A that removes the
-    spurious x multiple, written as updates of A alone.
+    spurious x multiple, written as updates of A alone; return the new
+    matrix and the basis f_0..f_t carried along.
 
     Applicable only when the entry's degree reaches d_i (above the
-    diagonal) or d_j (below); the maximal minors of the result generate
-    the same ideal."""
+    diagonal) or d_j (below).  Column operations keep the syzygies of the
+    f_i, and the row operation R_k += q R_l (1-based rows) keeps them with
+    f_(l-1) -= q f_(k-1), q lifted to K[x, y]."""
     cell, field = M.cell, M.field
     t = cell.t
     if i == j or not (1 <= i <= t + 1 and 1 <= j <= t):
@@ -146,13 +151,14 @@ def reduction_move(M: ParamMatrix, i: int, j: int) -> ParamMatrix:
         )
     pivot = Poly.monomial(field, 1, (cell.d_of(piv),)) + M.entry(piv, piv)
     q = divide(a, [pivot]).quotients[0]
+    lift = Poly(field, 2, {(0, e): c for (e,), c in q.terms.items()})
 
     def q_y(k):  # q * y^(d_k), the diagonal entry of X in column k times q
         return q.mul_term((cell.d_of(k),), field.one)
 
     # A[r][c] is slot (r+1, c+1).  The -x that each operation picks up from
     # the subdiagonal of X is cancelled by the other operation of the pair.
-    A = [list(r) for r in M.entries]
+    A, fs = [list(r) for r in M.entries], list(basis.polys)
     if i < j:
         # column j -= q * column i, then row i+1 += q * row j+1
         for r in range(t + 1):
@@ -162,6 +168,7 @@ def reduction_move(M: ParamMatrix, i: int, j: int) -> ParamMatrix:
             A[i][c] = A[i][c] + q * A[j][c]
         if j < t:
             A[i][j] = A[i][j] + q_y(j + 1)
+        fs[j] = fs[j] - lift * fs[i]
     else:
         # row i -= q * row j, then column j-1 += q * column i-1
         for c in range(t):
@@ -171,7 +178,8 @@ def reduction_move(M: ParamMatrix, i: int, j: int) -> ParamMatrix:
             for r in range(t + 1):
                 A[r][j - 2] = A[r][j - 2] + q * A[r][i - 2]
             A[i - 2][j - 2] = A[i - 2][j - 2] + q_y(i - 1)
-    return ParamMatrix(cell, field, tuple(tuple(r) for r in A))
+        fs[j - 1] = fs[j - 1] + lift * fs[i - 1]
+    return ParamMatrix(cell, field, tuple(tuple(r) for r in A)), IdealBasis(cell, tuple(fs))
 
 
 def _scan_position(slot) -> tuple:
@@ -207,27 +215,45 @@ def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
     """Return the admissible parameter matrix A with I_t(X+A) = (gens).
 
     The cell is inferred from the computed initial ideal; a given cell
-    must be that one.  The result is re-expanded through its minors, which
-    are reduced by the reduced basis of the input before it is returned.
+    must be that one.  The basis carried through the reduction moves is
+    certified against A before A is returned.
     """
     return _canonicalize(gens, cell)[0]
 
 
 def _canonicalize(gens, cell: MonomialCell = None) -> tuple:
-    """canonicalize(gens, cell) together with psi(A), the basis that the
-    same-ideal check expanded, so a caller that prints it expands it once."""
+    """canonicalize(gens, cell) and the basis g that the moves carried,
+    which the certificate makes psi(A) term for term.  Let J = (gens),
+    whose initial ideal I0 the cell was read from.
+    1. Each move adds to one g_i a K[x, y]-multiple of another, so g
+       stays in J.
+    2. verify_groebner_property(g, A) makes g a Groebner basis with the
+       staircase leading terms, so in((g)) = I0 = in(J); with 1, (g) = J.
+    3. It also puts g in the left kernel of X + A over K(x, y), and the
+       signed maximal minors D of X + A lie there too (column j set beside
+       X + A makes a square matrix with a repeated column).  D_0 =
+       det(x*I - B) is nonzero, so that kernel is the line of D:
+       b g = a D for coprime a, b in K[x, y].  Then a divides every g_i,
+       whose gcd is 1 as J has finite colength, so a is a constant; and
+       g_0, D_0 both have degree t and leading coefficient 1 as
+       polynomials in x over K[y], so b = a.
+    So g = D = psi(A) and I_t(X + A) = J.  A failed certificate, a wrong
+    leading term included, is a defect."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    gb = buchberger(gens)
-    A = canonical_matrix(_prepare_from_gb(gb, cell))
-    return A, _verify_same_ideal(A, gb)
+    A, basis = canonical_matrix(_prepare_from_gb(buchberger(gens), cell))
+    with suppress(LeadingTermMismatch):
+        if verify_groebner_property(basis, A):
+            return A, basis
+    raise InternalError("canonical matrix presents a different ideal")
 
 
-def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
+def canonical_matrix(basis: IdealBasis) -> tuple:
     """Return the admissible parameter matrix A whose maximal minors
     generate the ideal of `basis`, a Groebner basis f_0..f_t with leading
-    terms x^(t-i) y^(m_i), monic, such as psi(A).
+    terms x^(t-i) y^(m_i), monic, such as psi(A); and the basis the moves
+    carried, whose syzygies the columns of X + A are.
 
     Raises InternalReductionFailure exactly when a critical S-polynomial
     does not reduce to zero, that is when the basis is not a Groebner basis,
@@ -235,10 +261,9 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
     keeps the ideal and every leading term, so the stripped basis is a
     Groebner basis exactly when the input is.
     """
-    cell = basis.cell
-    M = extract_syzygies(_strip_x_t_tails(basis))
-
-    t = cell.t
+    cell, t = basis.cell, basis.cell.t
+    basis = _strip_x_t_tails(basis)
+    M = extract_syzygies(basis)
     cap = 10 * (t + 1) * t * (max(_max_raw_bound(cell), 0) + 1)
     moves = 0
     while (slot := _find_violation(M)) is not None:
@@ -246,29 +271,6 @@ def canonical_matrix(basis: IdealBasis) -> ParamMatrix:
             raise NonTerminationGuard(
                 f"exceeded {cap} reduction moves on {cell}; this is a defect"
             )
-        M = reduction_move(M, *slot)
+        M, basis = reduction_move(M, basis, *slot)
         moves += 1
-    return M
-
-
-def _verify_same_ideal(A: ParamMatrix, gb: GroebnerBasis) -> IdealBasis:
-    """Check that psi(A) generates the ideal J of gb; return psi(A).
-
-    gb is a Groebner basis of J with in(J) = I0, since I0 was inferred
-    from it.  Let J' be the ideal of psi(A).  psi checks that the leading
-    terms of psi(A) are the staircase, so I0 is contained in in(J').  Each
-    f_i of psi(A) is divided by gb; zero remainders give J' in J, so in(J')
-    lies in in(J) = I0.  So in(J') = in(J), and an ideal inside another
-    with the same initial ideal is equal to it: J' = J.  The divisors are
-    packed once, as wide as the largest degree among psi(A) and gb, and
-    primitive, so over QQ each division is the remainder-only one in ints:
-    only zero or not counts."""
-    regenerated = psi(A)
-    fs = regenerated.polys
-    top = max(f.degree() for f in fs + gb.elements)
-    packed = _PackedDivisors(fs[0], top)
-    for g in gb.elements:
-        packed.append(packed.primitive(packed.image(g)))
-    if any(packed.divide(packed.primitive(packed.image(f))) for f in fs):
-        raise InternalError("canonical matrix presents a different ideal")
-    return regenerated
+    return M, basis

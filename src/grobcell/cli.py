@@ -25,7 +25,6 @@ from .hilburch import (
     param_matrix_to_json,
     psi,
     sample,
-    verify_groebner_property,
 )
 from .poly import format_poly, parse_poly
 from .projective import psi_bar
@@ -203,7 +202,7 @@ def _cmd_sample(args, out):
         A = sample(cell, field, trial_seed)
         basis = psi(A)
         try:  # the critical divisions of canonical_matrix are the certificate
-            certified, roundtrip = True, canonical_matrix(basis) == A
+            certified, roundtrip = True, canonical_matrix(basis)[0] == A
         except InternalReductionFailure:
             certified = roundtrip = False
         if not roundtrip:
@@ -245,11 +244,10 @@ def _cmd_psi(args, out):
 
 def _cmd_verify(args, out):
     A = _load_matrix(args)
-    basis = psi(A)
-    if not verify_groebner_property(basis, A):
+    column = _failing_column(psi(A), A)  # verify_groebner_property, naming the column
+    if column:
         raise InternalError(
-            f"column {_failing_column(basis, A)} of X+A is not a syzygy of psi(A) "
-            "within its raw bounds"
+            f"column {column} of X+A is not a syzygy of psi(A) within its raw bounds"
         )
     t = A.cell.t
     if args.json:

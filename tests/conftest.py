@@ -203,6 +203,25 @@ def recombine(fs, rng):
     return out
 
 
+def stale_basis_move(move):
+    """A defective reduction move: it updates A as `move` does, but returns
+    the basis it was given instead of the one it carried."""
+    return lambda M, basis, i, j: (move(M, basis, i, j)[0], basis)
+
+
+def wrong_lead_move(move):
+    """A defective reduction move: it returns the carried basis with x^(t+1)
+    added to f_0, so f_0 loses its leading term x^t."""
+
+    def mutated(M, basis, i, j):
+        M, basis = move(M, basis, i, j)
+        f0 = basis.polys[0]
+        bumped = f0 + Poly.monomial(f0.field, 2, (M.cell.t + 1, 0))
+        return M, IdealBasis(basis.cell, (bumped,) + basis.polys[1:])
+
+    return mutated
+
+
 def evens_recipe(t):
     """The inverse-map input of the benchmark's `qq/` rungs on
     m = (0, 2, ..., 2t), with seed 1 for both draws: A sampled over QQ and

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from grobcell import GF, QQ, canonicalize, make_cell, psi, sample
 import grobcell.canonical as canonical_mod
 from grobcell.canonical import (
+    _canonicalize,
     _find_violation,
     _max_raw_bound,
     _prepare_from_gb,
@@ -20,6 +21,7 @@ from grobcell.canonical import (
     grade_bound,
     reduction_move,
 )
+from grobcell.cli import run
 from grobcell.errors import (
     InternalError,
     InternalReductionFailure,
@@ -46,7 +48,10 @@ from conftest import (
     evens_recipe,
     param_matrix_from_strings,
     perturbed_basis,
+    recombine,
+    stale_basis_move,
     with_fractions,
+    wrong_lead_move,
     zero_matrix,
 )
 from oracles import enumerate_lex_segment_cells, hb_matrix, maximal_minors
@@ -173,39 +178,45 @@ def test_scan_position_follows_the_discipline():
 
 
 def test_reduction_move_worked_example_sequence(ex3_cell):
-    M = extract_syzygies(example_basis(ex3_cell))
-    M1 = reduction_move(M, 3, 2)
+    basis = example_basis(ex3_cell)
+    M = extract_syzygies(basis)
+    M1, basis = reduction_move(M, basis, 3, 2)
     assert matrix_strings(M1) == EX3_AFTER_RED_3_2
-    M2 = reduction_move(M1, 1, 3)
+    M2, basis = reduction_move(M1, basis, 1, 3)
     assert matrix_strings(M2) == EX3_AFTER_RED_1_3
-    M3 = reduction_move(M2, 2, 3)
+    M3, basis = reduction_move(M2, basis, 2, 3)
     assert matrix_strings(M3) == EX3_AFTER_RED_2_3
 
 
 def test_reduction_move_preserves_ideal(ex3_cell):
-    # after each single move the signed minors still generate the ideal
+    # after each single move the signed minors still generate the ideal,
+    # and they are the basis the move carried
     reference = buchberger([P(s) for s in EX3_GENS]).elements
-    M = extract_syzygies(example_basis(ex3_cell))
+    basis = example_basis(ex3_cell)
+    M = extract_syzygies(basis)
     for step in ((3, 2), (1, 3), (2, 3)):
-        M = reduction_move(M, *step)
+        M, basis = reduction_move(M, basis, *step)
         assert buchberger(signed_minors(M)).elements == reference
+        assert list(basis.polys) == signed_minors(M)
 
 
 def test_reduction_move_not_applicable(ex3_cell):
     A = param_matrix_from_strings(ex3_cell, QQ, EX3_A_ROWS)
-    M = extract_syzygies(psi(A))
+    basis = psi(A)
+    M = extract_syzygies(basis)
     with pytest.raises(MoveNotApplicable):
-        reduction_move(M, 3, 2)
+        reduction_move(M, basis, 3, 2)
     with pytest.raises(MoveNotApplicable):
-        reduction_move(M, 2, 2)
+        reduction_move(M, basis, 2, 2)
 
 
 def test_grade_bounds_hold_along_move_path(ex3_cell):
-    M = extract_syzygies(example_basis(ex3_cell))
+    basis = example_basis(ex3_cell)
+    M = extract_syzygies(basis)
     for step in ((3, 2), (1, 3), (2, 3)):
         # canonical_matrix checks these bounds after every move, through
         # _find_violation; here they are checked slot by slot
-        M = reduction_move(M, *step)
+        M, basis = reduction_move(M, basis, *step)
         for i in range(1, ex3_cell.t + 2):
             for j in range(1, ex3_cell.t + 1):
                 a = M.entry(i, j)
@@ -235,19 +246,35 @@ def test_canonicalize_wrong_initial_ideal(ex3_gens):
         canonicalize(ex3_gens, make_cell(M_EX1))
 
 
-def test_canonicalize_catches_matrix_of_another_ideal(ex3_gens, ex3_cell, monkeypatch):
-    # an admissible matrix of the right cell whose minors are a Groebner
-    # basis with the right initial ideal: only the same-ideal division by
-    # psi(A) can tell that it presents another ideal
-    wrong = zero_matrix(ex3_cell, QQ)
-    monkeypatch.setattr(canonical_mod, "canonical_matrix", lambda basis: wrong)
-    with pytest.raises(InternalError, match="presents a different ideal"):
+@pytest.mark.parametrize("mutate", [stale_basis_move, wrong_lead_move])
+def test_canonicalize_catches_a_mutated_move(ex3_gens, ex3_cell, monkeypatch, mutate):
+    # a move that updates A but not the basis it carries, or that breaks a
+    # leading term of that basis: the certificate of the carried basis
+    # fails, and either failure is the same defect
+    monkeypatch.setattr(canonical_mod, "reduction_move", mutate(reduction_move))
+    with pytest.raises(InternalError, match="^canonical matrix presents a different ideal$"):
         canonicalize(ex3_gens, ex3_cell)
+
+
+@pytest.mark.filterwarnings("ignore:characteristic of GF")
+@settings(max_examples=30, deadline=None)
+@given(
+    cell=cells(max_t=5),
+    field=st.sampled_from([QQ, GF(10007), GF(3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonicalize_returns_psi_as_the_carried_basis(cell, field, seed):
+    # the basis carried through the moves is psi(A) term for term, so the
+    # CLI prints it in place of a second expansion of the minors
+    A = sample(cell, field, seed)
+    basis = psi(A)
+    gens = recombine(list(basis.polys), random.Random(seed))
+    assert _canonicalize(gens, cell) == (A, basis)
 
 
 def test_canonicalize_divides_critical_pairs_once(ex3_gens, ex3_cell, monkeypatch):
     # the t critical reductions run on the prepared basis alone; the
-    # same-ideal check divides psi(A) by the reduced basis instead
+    # carried basis is certified by the syzygies, without dividing
     calls = []
     real = canonical_mod.critical_reductions
 
@@ -387,10 +414,29 @@ def test_evens10_data_is_the_recipe():
         assert json.loads((DATA / f"evens{t}_qq.json").read_text()) == param_matrix_to_json(A)
 
 
+def test_dense10_data_is_the_recipe(capsys):
+    """tests/data/dense10_qq.txt, a CI guard's input, is two lines, each the
+    sum over a + b <= 10 (a outer, b inner) of c*x^a*y^b with
+    c = rng.randint(1, 9) from one random.Random(1); dense10_qq.json is its
+    `canonicalize --json` stdout, byte for byte."""
+    rng = random.Random(1)
+    lines = [
+        " + ".join(
+            f"{rng.randint(1, 9)}" + (f"*x^{a}" if a else "") + (f"*y^{b}" if b else "")
+            for a in range(11)
+            for b in range(11 - a)
+        )
+        for _ in range(2)
+    ]
+    assert (DATA / "dense10_qq.txt").read_text() == "".join(line + "\n" for line in lines)
+    assert run(["canonicalize", "--gens", str(DATA / "dense10_qq.txt"), "--json"]) == 0
+    assert capsys.readouterr().out == (DATA / "dense10_qq.json").read_text()
+
+
 def test_canonical_matrix_worked_example(ex3_gens, ex3_cell):
     # the example's generators already form a Groebner basis with the
     # staircase leading terms; only f_1 carries an x^t tail
-    A = canonical_matrix(IdealBasis(ex3_cell, tuple(ex3_gens)))
+    A, _ = canonical_matrix(IdealBasis(ex3_cell, tuple(ex3_gens)))
     assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
 
 
@@ -415,7 +461,7 @@ def test_canonical_matrix_of_psi_equals_buchberger_route(cell, field, seed):
     # sample --trials relies on this: canonical_matrix(psi(A)) divides the
     # critical S-polynomials of psi(A) itself, so it is the certificate
     assert _strip_x_t_tails(basis).polys == basis.polys
-    assert canonical_matrix(basis) == A
+    assert canonical_matrix(basis) == (A, basis)
     assert canonicalize(list(basis.polys), cell) == A
 
 
@@ -429,14 +475,15 @@ def test_canonical_matrix_with_moves_equals_buchberger_route(cell, field, seed):
     basis = perturbed_basis(cell, field, seed)
     stripped = _strip_x_t_tails(basis)
     assert verify_groebner_property(stripped, extract_syzygies(stripped))
-    assert canonical_matrix(basis) == canonicalize(list(basis.polys), cell)
+    assert canonical_matrix(basis) == _canonicalize(list(basis.polys), cell)
 
 
 def test_reduction_moves_preserve_ideal_random():
     # every move on the canonicalization path of seeded perturbed bases
-    # keeps the ideal of the signed maximal minors of X + A, and the loop
-    # reaches all four branches of the univariate update: above the
-    # diagonal with j < t and j = t, below it with j = 1 and j >= 2
+    # keeps the ideal of the signed maximal minors of X + A, the basis the
+    # moves carry is those minors (the Laplace oracle) after every move,
+    # and the loop reaches all four branches of the univariate update:
+    # above the diagonal with j < t and j = t, below it with j = 1 and j >= 2
     field = GF(101)
     rng = random.Random(4)
     branches = set()
@@ -446,11 +493,14 @@ def test_reduction_moves_preserve_ideal_random():
         cell = make_cell(list(itertools.accumulate([0] + steps)))
         basis = perturbed_basis(cell, field, rng.randrange(2**32))
         reference = buchberger(list(basis.polys)).elements
-        M = extract_syzygies(_strip_x_t_tails(basis))
+        basis = _strip_x_t_tails(basis)
+        M = extract_syzygies(basis)
         assert buchberger(signed_minors(M)).elements == reference
+        assert list(basis.polys) == signed_minors(M)
         while (slot := _find_violation(M)) is not None:
             i, j = slot
             branches.add((i < j, j == (t if i < j else 1)))
-            M = reduction_move(M, i, j)
+            M, basis = reduction_move(M, basis, i, j)
             assert buchberger(signed_minors(M)).elements == reference
+            assert list(basis.polys) == signed_minors(M)
     assert branches == {(True, True), (True, False), (False, True), (False, False)}

@@ -7,10 +7,17 @@ import sys
 import pytest
 
 import grobcell.canonical
-from grobcell import QQ, IdealBasis, Poly, psi
+from grobcell import IdealBasis, Poly, psi
 from grobcell.cli import build_parser, run
 
-from conftest import EX3_A_ROWS, EX3_GENS, EX3_REGENERATED, M_EX3, zero_matrix
+from conftest import (
+    EX3_A_ROWS,
+    EX3_GENS,
+    EX3_REGENERATED,
+    M_EX3,
+    stale_basis_move,
+    wrong_lead_move,
+)
 
 
 def invoke(argv):
@@ -409,11 +416,13 @@ def test_canonicalize_wrong_cell(ex3_gens_file):
     assert code == 2 and "WRONG_INITIAL_IDEAL" in err
 
 
-def test_canonicalize_matrix_of_another_ideal_is_a_defect(ex3_gens_file, monkeypatch):
-    # an admissible matrix of the right cell, but of another ideal
-    monkeypatch.setattr(
-        "grobcell.canonical.canonical_matrix", lambda basis: zero_matrix(basis.cell, QQ)
-    )
+@pytest.mark.parametrize("mutate", [stale_basis_move, wrong_lead_move])
+def test_canonicalize_mutated_move_is_a_defect(ex3_gens_file, monkeypatch, mutate):
+    # a move that leaves the carried basis behind A, or breaks one of its
+    # leading terms (a LeadingTermMismatch inside the certificate), must end
+    # in the defect exit code, not in exit 2 or a traceback
+    move = grobcell.canonical.reduction_move
+    monkeypatch.setattr("grobcell.canonical.reduction_move", mutate(move))
     code, out, err = invoke(["canonicalize", "--gens", ex3_gens_file])
     assert code == 3 and out == ""
     assert err == "defect[INTERNAL]: canonical matrix presents a different ideal\n"
