@@ -9,7 +9,12 @@ such a basis directly (for example psi(A), which it certifies on the way):
 it strips x^t from the tails of f_1..f_t, reads a raw parameter matrix A
 off the reductions of the t critical S-polynomials, then shrinks oversized
 entries with paired row/column reduction moves until every slot satisfies
-the cell's degree bounds.  The moves carry f_0..f_t along, and
+the cell's degree bounds.  Each critical S-polynomial has exactly one
+representation sum c_i f_i with the c_i in K[y], because the leading
+monomials of the c_i f_i have the distinct x exponents t - i; its column
+of A is minus those c_i.  extract_syzygies reduces it as one int whose
+digits are its terms in DRL order, a few big-int operations per quotient
+term.  The moves carry f_0..f_t along, and
 `canonicalize` certifies the carried basis by the syzygies X + A
 (verify_groebner_property), which makes it psi(A) and the input ideal's.
 
@@ -23,11 +28,14 @@ it is carried out as univariate updates of A.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
+from fractions import Fraction
 from itertools import accumulate
 
 from .cell import MonomialCell, cell_from_minimal_generators
 from .errors import (
+    DivisionByZero,
     InternalError,
     InternalReductionFailure,
     LeadingTermMismatch,
@@ -39,7 +47,11 @@ from .groebner import GroebnerBasis, buchberger, divide, initial_ideal
 from .hilburch import (
     IdealBasis,
     ParamMatrix,
-    critical_reductions,
+    _check_staircase,
+    _int_coefficients,
+    _kronecker,
+    _pack,
+    _unpack,
     grade_bound,
     verify_groebner_property,
 )
@@ -90,42 +102,139 @@ def _strip_x_t_tails(basis: IdealBasis) -> IdealBasis:
     return IdealBasis(basis.cell, tuple(fs))
 
 
-def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
-    """The raw matrix A: column i is minus the quotients of the reduction of
-    the i-th critical S-polynomial y^(d_i) f_(i-1) - x f_i, so the columns
-    of X + A are syzygies of f_0..f_t.  The quotients land in K[y] because
-    no support monomial of the S-polynomial is divisible by x^(t+1).
+# Over GF(p), the number of top digits reduced mod p at once when the top
+# digit of a critical reduction is a nonzero multiple of p.
+_WINDOW = 8
 
-    Each entry is built once, negated; its leading monomial is the y
-    exponent of the quotient's largest packed monomial.  The raw bounds
-    are checked by _find_violation, on this matrix and after every move."""
-    cell = basis.cell
-    field = basis.polys[0].field
+
+def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
+    """The raw matrix A: column j is minus the quotients of the reduction of
+    the critical S-polynomial S_j = y^(d_j) f_(j-1) - x f_j by f_0..f_t, so
+    the columns of X + A are syzygies of f_0..f_t.  Raises
+    InternalReductionFailure exactly when some S_j does not reduce to zero,
+    DivisionByZero for a zero f_i, FieldMismatch for an f_i over another
+    field, LeadingTermMismatch unless each f_i is monic with leading
+    monomial x^(t-i) y^(m_i), and InternalError when some S_j has an x
+    exponent past t, which _strip_x_t_tails rules out.  The raw bounds are
+    checked by _find_violation, on this matrix and after every move.
+
+    The division is groebner.divide's, on one int per S_j.  A monomial
+    x^a y^b with a <= t is divisible by the leading monomial x^(t-i)
+    y^(m_i) of some f_i exactly when b >= m_(t-a), and f_(t-a) is then the
+    leftmost such divisor, since m is non-decreasing: so every quotient
+    term is c y^(b - m_(t-a)) on f_(t-a), in K[y], and the divisor is found
+    in O(1).  These quotients are also the only ones: if c_0..c_t in K[y]
+    are not all zero, the leading monomials x^(t-i) y^(m_i + deg c_i) of
+    the nonzero c_i f_i have pairwise distinct x exponents, so the largest
+    cannot cancel and sum c_i f_i != 0.  So S_j has one representation
+    sum c_i f_i over K[y], and column j is minus its c_i, whatever the
+    order of the steps.
+
+    x^a y^b is the digit (a + b)(t + 1) + a of a base-2^w int with signed
+    digits of absolute value below 2^(w-1).  Digit order is DRL order
+    (degree first, then the larger x exponent); multiplying by y^e shifts
+    by e(t + 1) digits, and by x by t + 2.  The top digit of the working
+    int V sits at K = V.bit_length() // w and is V / 2^(wK) rounded, both
+    read off the top of V, so a step costs a few big-int operations
+    whatever the divisor's length: read the top digit, then subtract its
+    quotient coefficient times the packed f_(t-a), shifted.  Each step
+    lowers K, so with P the digit of the largest lcm of a critical pair a
+    column takes fewer than P steps.  w is the fewest whole bytes that hold
+    P F^2 + 2F and a sign bit, with F = p over GF(p) and over QQ the
+    largest absolute coefficient of the packed f_i.
+
+    * Over GF(p) f_i is packed as its residues in [0, p).  A step takes
+      the residue c of the top digit d as the quotient coefficient and
+      subtracts c f_i, shifted, and d - c, a multiple of p, from the top
+      digit, which clears it; so a digit grows by less than p^2 per step,
+      from below p.  A top digit that is nonzero but 0 mod p is no term:
+      then the top _WINDOW digits are reduced mod p at once.  So every
+      digit stays below P p^2 + p in absolute value.
+    * Over QQ f_i is packed as F_i = D f_i, for the lcm D of the basis's
+      denominators, and V holds D E times the working polynomial, for the
+      lcm E of the quotient denominators so far; V is an int because that
+      polynomial's denominators divide D E.  The top digit d gives the
+      quotient coefficient d / (D E) = num/den; E grows to lcm(E, den) and
+      V by the same factor, and then (E num/den) F_i, shifted, is
+      subtracted.  A running bound on the digits starts at 2F and grows
+      with each step by the factor on E, plus |E num/den| F; when it would
+      reach 2^(w-1), w doubles and the column restarts.
+    """
+    cell, fs = basis.cell, basis.polys
+    t, m = cell.t, cell.m
+    field = fs[0].field
     p = field.characteristic
-    packed, reductions = critical_reductions(basis)
-    # A packed monomial of K[x, y] has x = 0 exactly when its x field is 0.
-    xmask, unpack = packed.packing.xmask, packed.packing.unpack
-    cols = []
-    for i, (quots, rem) in enumerate(reductions, 1):
-        if rem:
-            raise InternalReductionFailure(
-                f"critical S-polynomial {i} does not reduce to zero"
-            )
-        col = []
-        for j, q in enumerate(quots):
-            if not q:
-                col.append(Poly.zero(field, 1))
-                continue
-            if any(m & xmask for m in q):
-                raise InternalError(
-                    f"syzygy quotient on f_{j} is not univariate: {packed.poly(q)}"
+    for i, f in enumerate(fs):
+        if f.is_zero():
+            raise DivisionByZero(f"f_{i} is zero")
+    _check_staircase(basis, field)
+    for i, f in enumerate(fs[1:], 1):  # x f_i is a term of S_i
+        xdeg = max(a for a, _ in f.terms)
+        if xdeg >= t:
+            raise InternalError(f"f_{i} has x-degree {xdeg}, not below t = {t}: not stripped")
+    T = t + 1
+    spots = [[(a + b) * T + a for a, b in f.terms] for f in fs]  # the digit of each term
+    lead = [(t - i + m[i]) * T + t - i for i in range(T)]
+    P = max((t + 1 - j + m[j]) * T + t + 1 - j for j in range(1, T))
+    D, vals = _int_coefficients(fs, p)
+    F = p or max(max(map(abs, v)) for v in vals)
+    s = ((P * F * F + 2 * F).bit_length() + 8) // 8  # bytes per digit
+
+    def pack() -> list:
+        return [_kronecker(zip(k, v), s, n + 1) for k, v, n in zip(spots, vals, lead)]
+
+    def column(j: int):
+        """Minus the K[y] quotients of S_j, as {i: {exponent: coefficient}}
+        over the f_i with a nonzero one, or None when the digits outgrow w
+        (only over QQ)."""
+        w = 8 * s
+        V = (packed[j - 1] << w * T * cell.d_of(j)) - (packed[j] << w * (T + 1))
+        quots = {}
+        E, bound, limit = 1, 2 * F, 1 << (w - 1)
+        while V:
+            K = V.bit_length() // w
+            digit = ((V >> (w * K - 1)) + 1) >> 1 if K else V
+            if p:
+                c = digit % p
+                if not c:
+                    lo = max(0, K - _WINDOW + 1) * w
+                    hi = ((V >> (lo - 1)) + 1) >> 1 if lo else V
+                    V += (_pack([a % p for a in _unpack(hi, w)], w) - hi) << lo
+                    continue
+            i = t - K % T
+            shift = K - lead[i]
+            if shift < 0:  # x^a y^b with b < m_(t-a): a nonzero remainder
+                raise InternalReductionFailure(
+                    f"critical S-polynomial {j} does not reduce to zero"
                 )
-            lm = (unpack(max(q))[1],)
-            terms = {(unpack(m)[1],): p - c if p else -c for m, c in q.items()}
-            col.append(Poly(field, 1, terms, lm))
+            if p:
+                V -= (c * packed[i] + ((digit - c) << w * lead[i])) << w * shift
+                quots.setdefault(i, {})[shift // T] = p - c
+                continue
+            g = math.gcd(digit, D * E)
+            num, den = digit // g, D * E // g
+            mult = den // math.gcd(E, den)
+            E *= mult
+            q = num * (E // den)
+            bound = bound * mult + abs(q) * F
+            if bound >= limit:
+                return None
+            if mult != 1:
+                V *= mult
+            V -= (q * packed[i]) << w * shift
+            quots.setdefault(i, {})[shift // T] = -num if den == 1 else Fraction(-num, den)
+        return quots
+
+    packed, cols, zero = pack(), [], Poly.zero(field, 1)
+    for j in range(1, T):
+        while (quots := column(j)) is None:
+            s *= 2
+            packed = pack()
+        col = [zero] * T
+        for i, q in quots.items():
+            col[i] = Poly(field, 1, {(e,): c for e, c in q.items()}, (max(q),))
         cols.append(col)
-    rows = tuple(tuple(c[r] for c in cols) for r in range(cell.t + 1))
-    return ParamMatrix(cell, field, rows)
+    return ParamMatrix(cell, field, tuple(zip(*cols)))
 
 
 def reduction_move(M: ParamMatrix, basis: IdealBasis, i: int, j: int) -> tuple:
@@ -257,9 +366,13 @@ def canonical_matrix(basis: IdealBasis) -> tuple:
 
     Raises InternalReductionFailure exactly when a critical S-polynomial
     does not reduce to zero, that is when the basis is not a Groebner basis,
-    so on psi(A) this call is also the Groebner certificate.  The x^t strip
-    keeps the ideal and every leading term, so the stripped basis is a
-    Groebner basis exactly when the input is.
+    so on psi(A) this call is also the Groebner certificate; and
+    LeadingTermMismatch when some f_i is not monic with that leading term.
+    The x^t strip keeps the ideal and every leading term, so the stripped
+    basis is a Groebner basis exactly when the input is, and it keeps every
+    x exponent of a critical S-polynomial at most t, as extract_syzygies
+    needs.  The raw matrix is minus the one K[y]-representation of each
+    critical S-polynomial by the stripped basis (see extract_syzygies).
     """
     cell, t = basis.cell, basis.cell.t
     basis = _strip_x_t_tails(basis)

@@ -194,7 +194,7 @@ class _PackedDivisors:
             return image
         return {m: c // content for m, c in image.items()}
 
-    def difference(self, i: int, si: int, j: int, sj: int, ci: int = 1, cj: int = 1) -> dict:
+    def difference(self, i: int, si: int, j: int, sj: int, ci: int, cj: int) -> dict:
         """The image of ci times divisor i times the packed monomial si minus
         cj times divisor j times sj: a shift is one int addition per term.
         The int cofactors ci and cj are 1 over GF(p)."""

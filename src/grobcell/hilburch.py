@@ -17,7 +17,10 @@ verify_groebner_property certifies that such a basis is a Groebner basis
 without dividing: each column of X + A, within its raw degree bounds, is a
 syzygy of f_0..f_t and so an lcm representation of one critical S-pair,
 and each syzygy is checked as one identity on Kronecker-packed ints in
-K[x, y].
+K[x, y].  The checks on f_0..f_t (_check_staircase), their int
+coefficients (_int_coefficients) and the byte-wise packing (_kronecker)
+also serve canonical.extract_syzygies, which reduces the critical
+S-polynomials themselves on such ints, with the digits in DRL order.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from operator import attrgetter, itemgetter
 from .cell import MonomialCell, hilbert_function, make_cell
 from .errors import BoundViolation, FieldMismatch, InternalError, LeadingTermMismatch
 from .field import char_ok, field_from_json
-from .groebner import _PackedDivisors
 from .poly import Poly, drl_key, format_poly, parse_poly
 
 _terms, _x, _y = attrgetter("terms"), itemgetter(0), itemgetter(1)
@@ -354,18 +356,7 @@ def _failing_column(basis: IdealBasis, A: ParamMatrix) -> int:
     t, p = cell.t, field.characteristic
     if A.cell != cell:
         raise ValueError(f"the matrix is one of {A.cell}, the basis of {cell}")
-    if len(fs) != t + 1:
-        raise LeadingTermMismatch(f"expected {t + 1} polynomials, got {len(fs)}")
-    for i, f in enumerate(fs):
-        if f.field != field:
-            raise FieldMismatch(f"f_{i} lives in {f.field}, the matrix in {field}")
-        expected = (t - i, cell.m[i])
-        if f.is_zero() or f.leading_monomial() != expected:
-            raise LeadingTermMismatch(
-                f"f_{i} must have leading monomial x^{expected[0]}*y^{expected[1]}"
-            )
-        if f.leading_coeff() != field.one:
-            raise LeadingTermMismatch(f"f_{i} must be monic")
+    _check_staircase(basis, field)
     cols, top = [[] for _ in range(t)], 0  # top: the largest entry degree
     for i, row in enumerate(A.entries, 1):
         for j in compress(range(t), map(_terms, row)):  # the nonzero slots
@@ -378,10 +369,7 @@ def _failing_column(basis: IdealBasis, A: ParamMatrix) -> int:
         *(c.denominator for col in cols for _, a in col for c in a.terms.values())
     )
     cols = [[(i, _ky(a, D, p)) for i, a in col] for col in cols]
-    vals = [list(f.terms.values()) for f in fs]
-    if not p and any(Fraction in set(map(type, v)) for v in vals):
-        Df = math.lcm(*(c.denominator for v in vals for c in v))
-        vals = [[c.numerator * (Df // c.denominator) for c in v] for v in vals]
+    _, vals = _int_coefficients(fs, p)
     bound = max(max(map(abs, v)) for v in vals) * (
         2 * D + max(sum(sum(map(abs, a)) for _, a in col) for col in cols)
     )
@@ -389,15 +377,10 @@ def _failing_column(basis: IdealBasis, A: ParamMatrix) -> int:
     w, half = 8 * s, 1 << (8 * s - 1)
     Y = 1 + max(max(map(_y, f.terms)) for f in fs) + max(max(cell.d), top)
     n = (max(max(map(_x, f.terms)) for f in fs) + 2) * Y  # digits of any sum
-    zero = half.to_bytes(s, "little") * n  # every digit offset by half
-    H = int.from_bytes(zero, "little")
-    packed = []
-    for f, v in zip(fs, vals):
-        buf = bytearray(zero)
-        for (a, b), c in zip(f.terms, v):
-            k = (b + Y * a) * s
-            buf[k : k + s] = (c + half).to_bytes(s, "little")
-        packed.append(int.from_bytes(buf, "little") - H)
+    packed = [
+        _kronecker(zip((b + Y * a for a, b in f.terms), v), s, n) for f, v in zip(fs, vals)
+    ]
+    H = int.from_bytes(half.to_bytes(s, "little") * n, "little")  # every digit half
     for j, col in enumerate(cols, 1):
         total = (packed[j - 1] << w * cell.d_of(j)) - (packed[j] << w * Y)
         if D != 1:
@@ -417,38 +400,47 @@ def _digits(a: int, s: int, n: int) -> set:
     return {int.from_bytes(b[k : k + s], "little") for k in range(0, len(b), s)}
 
 
-def critical_reductions(basis: IdealBasis):
-    """Divide, for i = 1..t, the critical S-polynomial y^(d_i) f_(i-1) - x f_i
-    by f_0..f_t exactly as groebner.divide would.  The basis is a Groebner
-    basis exactly when every remainder is zero; then the quotients give the
-    columns of its Hilbert-Burch matrix.
+def _check_staircase(basis: IdealBasis, field) -> None:
+    """Raise unless f_0..f_t live in `field` (FieldMismatch) and each f_i is
+    monic with leading monomial x^(t-i) y^(m_i) (LeadingTermMismatch)."""
+    cell, fs = basis.cell, basis.polys
+    t = cell.t
+    if len(fs) != t + 1:
+        raise LeadingTermMismatch(f"expected {t + 1} polynomials, got {len(fs)}")
+    for i, f in enumerate(fs):
+        if f.field != field:
+            raise FieldMismatch(f"f_{i} lives in {f.field}, not {field}")
+        expected = (t - i, cell.m[i])
+        if f.is_zero() or f.leading_monomial() != expected:
+            raise LeadingTermMismatch(
+                f"f_{i} must have leading monomial x^{expected[0]}*y^{expected[1]}"
+            )
+        if f.leading_coeff() != field.one:
+            raise LeadingTermMismatch(f"f_{i} must be monic")
 
-    Returns f_0..f_t packed once (a groebner._PackedDivisors, wide enough
-    for the degree of every S-polynomial) and a lazy iterator over the t
-    divisions, so a caller can stop at the first nonzero remainder.  Each
-    division is a (quotients, remainder) pair of packed images, which
-    `packed.poly` turns into Poly values.  Each S-polynomial is built on
-    the packed images, where multiplying by y^(d_i) or by x is one int
-    addition per term."""
-    cell = basis.cell
-    fs = basis.polys
-    d = [cell.d_of(i) for i in range(1, cell.t + 1)]
-    top = max(
-        (max(fs[i - 1].degree() + d[i - 1], fs[i].degree() + 1) for i in range(1, len(fs))),
-        default=0,
-    )
-    packed = _PackedDivisors(fs[0], top, fs)
-    pack = packed.packing.pack
-    x = pack((1, 0))
 
-    def reductions():
-        for i in range(1, cell.t + 1):
-            quots = [{} for _ in fs]
-            s = packed.difference(i - 1, pack((0, d[i - 1])), i, x)
-            rem = packed.divide(s, quots=quots)
-            yield quots, rem
+def _int_coefficients(fs, p: int) -> tuple:
+    """(D, vals): vals[i] lists the coefficients of fs[i], in the order of
+    its terms, as ints: the residues over GF(p), where D = 1, and over QQ
+    each coefficient times the lcm D of every denominator among them."""
+    vals = [list(f.terms.values()) for f in fs]
+    if p or not any(Fraction in set(map(type, v)) for v in vals):
+        return 1, vals
+    D = math.lcm(*(c.denominator for v in vals for c in v))
+    return D, [[c.numerator * (D // c.denominator) for c in v] for v in vals]
 
-    return packed, reductions()
+
+def _kronecker(items, s: int, n: int) -> int:
+    """The int sum c * 2^(8s*k) over the (k, c) in items, for distinct digit
+    indices k < n and |c| < 2^(8s-1): every digit is written offset by
+    2^(8s-1) into one byte string, and the offsets are subtracted at once."""
+    half = 1 << (8 * s - 1)
+    zero = half.to_bytes(s, "little") * n
+    buf = bytearray(zero)
+    for k, c in items:
+        k *= s
+        buf[k : k + s] = (c + half).to_bytes(s, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(zero, "little")
 
 
 def sample(cell: MonomialCell, field, seed: int) -> ParamMatrix:
@@ -499,7 +491,8 @@ def param_matrix_from_json(obj: dict, field=None) -> ParamMatrix:
     cell = make_cell(m)  # the size gate, before any entry is parsed
     if field is None:
         field = field_from_json(obj.get("field"))
-    entries = [[parse_poly(s, field, 1) for s in row] for row in rows]
+    zero = Poly.zero(field, 1)  # one shared value for the many "0" slots
+    entries = [[zero if s == "0" else parse_poly(s, field, 1) for s in row] for row in rows]
     return check_membership(cell, entries, field)
 
 

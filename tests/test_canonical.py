@@ -1,13 +1,14 @@
 import itertools
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grobcell import GF, QQ, canonicalize, make_cell, psi, sample
+from grobcell import GF, QQ, ParamMatrix, Poly, canonicalize, make_cell, psi, sample
 import grobcell.canonical as canonical_mod
 from grobcell.canonical import (
     _canonicalize,
@@ -23,8 +24,11 @@ from grobcell.canonical import (
 )
 from grobcell.cli import run
 from grobcell.errors import (
+    DivisionByZero,
+    FieldMismatch,
     InternalError,
     InternalReductionFailure,
+    LeadingTermMismatch,
     MoveNotApplicable,
     WrongInitialIdeal,
 )
@@ -34,7 +38,7 @@ from grobcell.hilburch import (
     param_matrix_to_json,
     verify_groebner_property,
 )
-from grobcell.poly import format_poly, parse_poly
+from grobcell.poly import drl_key, format_poly, parse_poly
 
 from conftest import (
     EX3_A_ROWS,
@@ -136,6 +140,120 @@ def test_extract_syzygies_monomial_basis(ex1_cell):
     basis = psi(zero_matrix(ex1_cell, QQ))
     M = extract_syzygies(basis)
     assert all(a.is_zero() for row in M.entries for a in row)
+
+
+def _critical_divisions(basis):
+    """The reference: groebner.divide of each critical S-polynomial
+    y^(d_j) f_(j-1) - x f_j, built from Poly values, by f_0..f_t."""
+    cell, fs = basis.cell, basis.polys
+    one = fs[0].field.one
+    return [
+        divide(fs[j - 1].mul_term((0, cell.d_of(j)), one) - fs[j].mul_term((1, 0), one), fs)
+        for j in range(1, cell.t + 1)
+    ]
+
+
+def _near_1e30(A, rng):
+    """A copy of a QQ matrix with every coefficient multiplied by a random
+    integer of absolute value about 10^30 and random sign."""
+    entries = [
+        [
+            Poly.from_terms(
+                QQ, 1, [(m, c * rng.choice((-1, 1)) * (10**30 + rng.randrange(10**6)))
+                        for m, c in e.terms.items()]
+            )
+            for e in row
+        ]
+        for row in A.entries
+    ]
+    return ParamMatrix(A.cell, QQ, tuple(map(tuple, entries)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    cell=cells(),
+    field=st.sampled_from([QQ, GF(2), GF(3), GF(10007), GF(2**61 - 1)]),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["psi", "fractions", "near 1e30", "perturbed", "x in f_t"]),
+)
+@example(cell=make_cell(M_EX1), field=GF(10007), seed=3, kind="x in f_t")
+def test_extract_syzygies_matches_divide(cell, field, seed, kind):
+    """On a stripped basis the raw matrix is minus the quotients of
+    groebner.divide on the critical S-polynomials, all in K[y], and
+    InternalReductionFailure is raised exactly when one of their
+    remainders is nonzero.  The bases: psi(A) (over QQ also with fractional
+    coefficients, or with coefficients near +-10^30), perturbed_basis, and
+    psi(A) with x added to f_t, which is mostly no Groebner basis."""
+    rng = random.Random(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small characteristic
+        A = sample(cell, field, seed)
+        if kind == "perturbed":
+            fs = list(perturbed_basis(cell, field, seed).polys)
+    if field == QQ and kind == "fractions":
+        A = with_fractions(A, rng)
+    if field == QQ and kind == "near 1e30":
+        A = _near_1e30(A, rng)
+    if kind != "perturbed":
+        fs = list(psi(A).polys)
+    if kind == "x in f_t" and drl_key((1, 0)) < drl_key(fs[-1].leading_monomial()):
+        fs[-1] = fs[-1] + Poly.monomial(field, 2, (1, 0))
+    basis = _strip_x_t_tails(IdealBasis(cell, tuple(fs)))
+    want = _critical_divisions(basis)
+    if any(d.remainder for d in want):
+        with pytest.raises(InternalReductionFailure, match="does not reduce to zero"):
+            extract_syzygies(basis)
+        return
+    M = extract_syzygies(basis)
+    for j, d in enumerate(want):
+        for i, q in enumerate(d.quotients):
+            assert all(a == 0 for a, _ in q.terms)
+            assert M.entries[i][j] == -Poly.from_terms(
+                field, 1, [((b,), c) for (_, b), c in q.terms.items()]
+            )
+
+
+def test_extract_syzygies_input_checks(ex3_cell):
+    fs = list(psi(zero_matrix(ex3_cell, QQ)).polys)
+    for bad, exc in (
+        (Poly.zero(QQ, 2), DivisionByZero),
+        (parse_poly("y^5", GF(7), 2), FieldMismatch),
+        (P("2*y^5"), LeadingTermMismatch),
+        (P("y^6"), LeadingTermMismatch),
+    ):
+        with pytest.raises(exc):
+            extract_syzygies(IdealBasis(ex3_cell, tuple(fs[:-1] + [bad])))
+
+
+def test_extract_syzygies_x_past_t_is_a_defect(ex3_gens, ex3_cell):
+    # the example's f_1 has the tail term -x^3 = -x^t, which _strip_x_t_tails
+    # removes; left in, x f_1 in S_1 has no digit, and that is a defect
+    with pytest.raises(InternalError, match="f_1 has x-degree 3, not below t = 3") as exc:
+        extract_syzygies(IdealBasis(ex3_cell, tuple(ex3_gens)))
+    assert exc.type is InternalError
+
+
+def test_extract_syzygies_widens_over_qq(monkeypatch):
+    """On m = (0, 1, 1) with f_0 = x^2 + y^2, f_1 = x*y, f_2 = y + c, S_1 =
+    y^3 and its reduction by y + c has quotient y^2 - c*y + c^2 and
+    remainder -c^3.  For c = 10^6 the digits outgrow the first width
+    before the remainder shows, so the column restarts on a second packing
+    at twice the width, and then fails as divide does."""
+    cell = make_cell((0, 1, 1))
+    basis = IdealBasis(cell, (P("x^2+y^2"), P("x*y"), P("y+1000000")))
+    assert _critical_divisions(basis)[0].remainder == P("-1000000000000000000")
+    widths = []
+    kronecker = canonical_mod._kronecker
+
+    def spy(items, s, n):
+        widths.append(s)
+        return kronecker(items, s, n)
+
+    monkeypatch.setattr(canonical_mod, "_kronecker", spy)
+    with pytest.raises(InternalReductionFailure, match="critical S-polynomial 1 does"):
+        extract_syzygies(basis)
+    s = widths[0]
+    assert widths == [s] * 3 + [2 * s] * 3
 
 
 def test_extract_syzygies_reports_first_broken_raw_bound(ex3_cell, monkeypatch):
@@ -276,13 +394,13 @@ def test_canonicalize_divides_critical_pairs_once(ex3_gens, ex3_cell, monkeypatc
     # the t critical reductions run on the prepared basis alone; the
     # carried basis is certified by the syzygies, without dividing
     calls = []
-    real = canonical_mod.critical_reductions
+    real = canonical_mod.extract_syzygies
 
     def spy(basis):
         calls.append(basis)
         return real(basis)
 
-    monkeypatch.setattr(canonical_mod, "critical_reductions", spy)
+    monkeypatch.setattr(canonical_mod, "extract_syzygies", spy)
     A = canonicalize(ex3_gens, ex3_cell)
     assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
     assert len(calls) == 1

@@ -141,25 +141,6 @@ def test_sample_trials_report_failed_certificate(monkeypatch):
     )
 
 
-def test_sample_trials_non_univariate_quotient_is_a_defect(monkeypatch):
-    # only a nonzero critical remainder makes a trial uncertified; a quotient
-    # with an x term is a defect and exits 3
-    real = grobcell.canonical.critical_reductions
-
-    def with_x_quotient(basis):
-        packed, reductions = real(basis)
-        x = packed.packing.pack((1, 0))
-        return packed, (([{**q[0], x: 1}] + q[1:], rem) for q, rem in reductions)
-
-    monkeypatch.setattr("grobcell.canonical.critical_reductions", with_x_quotient)
-    code, out, err = invoke(
-        ["sample", "--m", "0,2,3", "--field", "fp", "--prime", "101",
-         "--seed", "3", "--trials", "2", "--json"]
-    )
-    assert code == 3 and out == ""
-    assert err.startswith("defect[INTERNAL]: syzygy quotient on f_0 is not univariate")
-
-
 def test_sample_rejects_negative_trials():
     code, out, err = invoke(["sample", "--m", "0,2,3", "--seed", "3", "--trials", "-1"])
     assert code == 2 and out == ""

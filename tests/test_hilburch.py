@@ -11,12 +11,11 @@ from grobcell import GF, QQ, make_cell, psi, sample
 from grobcell.canonical import _strip_x_t_tails, extract_syzygies
 from grobcell.errors import (
     BoundViolation,
-    DivisionByZero,
     FieldMismatch,
+    InternalReductionFailure,
     LeadingTermMismatch,
     MatrixTooLarge,
 )
-from grobcell.groebner import divide
 from grobcell.field import MAX_PRIME, is_prime
 from grobcell.hilburch import (
     IdealBasis,
@@ -25,7 +24,6 @@ from grobcell.hilburch import (
     _pack,
     _unpack,
     check_membership,
-    critical_reductions,
     param_matrix_from_json,
     param_matrix_to_json,
     verify_groebner_property,
@@ -322,9 +320,13 @@ def test_verify_groebner_property_digits_wider_than_a_word():
 
 
 def _divisions_certify(basis):
-    """The division certificate: every critical remainder is zero."""
-    _, reductions = critical_reductions(basis)
-    return not any(rem for _, rem in reductions)
+    """The division certificate: every critical S-polynomial of the
+    stripped basis reduces to zero."""
+    try:
+        extract_syzygies(_strip_x_t_tails(basis))
+    except InternalReductionFailure:
+        return False
+    return True
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,57 +370,6 @@ def test_syzygy_certificate_agrees_with_critical_divisions(cell, field, seed, mo
         assert not verify_groebner_property(basis, changed)
 
     assert verify_groebner_property(raw_basis, extract_syzygies(raw_basis))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    cell=cells(),
-    field=st.sampled_from([QQ, GF(10007), GF(3), GF(2)]),
-    seed=st.integers(0, 2**32 - 1),
-    perturb=st.booleans(),
-)
-def test_critical_reductions_match_divide(cell, field, seed, perturb):
-    """The packed S-polynomials and their divisions equal groebner.divide
-    of the S-polynomials built from Poly values, quotients and remainder;
-    adding x to f_t makes remainders nonzero."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # small characteristic
-        A = sample(cell, field, seed)
-    if field == QQ:
-        A = with_fractions(A, random.Random(seed))
-    fs = list(psi(A).polys)
-    if perturb:
-        fs[-1] = fs[-1] + parse_poly("x", field, 2)
-    packed, reductions = critical_reductions(IdealBasis(cell, tuple(fs)))
-    got = list(reductions)
-    assert len(got) == cell.t
-    for i, (quots, rem) in enumerate(got, 1):
-        s = fs[i - 1].mul_term((0, cell.d_of(i)), field.one) - fs[i].mul_term(
-            (1, 0), field.one
-        )
-        want = divide(s, fs)
-        assert tuple(map(packed.poly, quots)) == want.quotients
-        assert packed.poly(rem) == want.remainder
-
-
-def test_critical_reductions_input_checks():
-    cell = make_cell(M_EX3)
-    fs = list(psi(zero_matrix(cell, QQ)).polys)
-    for bad, exc in (
-        (Poly.zero(QQ, 2), DivisionByZero),
-        (parse_poly("y^5", GF(7), 2), FieldMismatch),
-    ):
-        basis = IdealBasis(cell, tuple(fs[:-1] + [bad]))
-        with pytest.raises(exc):
-            critical_reductions(basis)
-
-
-def test_critical_reductions_nonzero_remainder():
-    cell = make_cell(M_EX1)
-    fs = list(psi(sample(cell, GF(10007), 3)).polys)
-    fs[-1] = fs[-1] + parse_poly("x", GF(10007), 2)
-    _, reductions = critical_reductions(IdealBasis(cell, tuple(fs)))
-    assert any(rem for _, rem in reductions)
 
 
 def test_sample_determinism_and_shape():
