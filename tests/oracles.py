@@ -141,6 +141,17 @@ def maximal_minors(rows) -> list:
     return [minor(every[:r] + every[r + 1 :]) for r in range(t + 1)]
 
 
+def critical_divisions(basis) -> list:
+    """groebner.divide of each critical S-polynomial y^(d_j) f_(j-1) - x f_j
+    of an IdealBasis, built from Poly values, by f_0..f_t."""
+    cell, fs = basis.cell, basis.polys
+    one = fs[0].field.one
+    return [
+        divide(fs[j - 1].mul_term((0, cell.d_of(j)), one) - fs[j].mul_term((1, 0), one), fs)
+        for j in range(1, cell.t + 1)
+    ]
+
+
 def is_groebner(polys) -> bool:
     """Check every S-polynomial reduces to zero (no shortcuts: this is the
     oracle-grade definition)."""

@@ -58,7 +58,12 @@ from conftest import (
     wrong_lead_move,
     zero_matrix,
 )
-from oracles import enumerate_lex_segment_cells, hb_matrix, maximal_minors
+from oracles import (
+    critical_divisions,
+    enumerate_lex_segment_cells,
+    hb_matrix,
+    maximal_minors,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,17 +147,6 @@ def test_extract_syzygies_monomial_basis(ex1_cell):
     assert all(a.is_zero() for row in M.entries for a in row)
 
 
-def _critical_divisions(basis):
-    """The reference: groebner.divide of each critical S-polynomial
-    y^(d_j) f_(j-1) - x f_j, built from Poly values, by f_0..f_t."""
-    cell, fs = basis.cell, basis.polys
-    one = fs[0].field.one
-    return [
-        divide(fs[j - 1].mul_term((0, cell.d_of(j)), one) - fs[j].mul_term((1, 0), one), fs)
-        for j in range(1, cell.t + 1)
-    ]
-
-
 def _near_1e30(A, rng):
     """A copy of a QQ matrix with every coefficient multiplied by a random
     integer of absolute value about 10^30 and random sign."""
@@ -199,7 +193,7 @@ def test_extract_syzygies_matches_divide(cell, field, seed, kind):
     if kind == "x in f_t" and drl_key((1, 0)) < drl_key(fs[-1].leading_monomial()):
         fs[-1] = fs[-1] + Poly.monomial(field, 2, (1, 0))
     basis = _strip_x_t_tails(IdealBasis(cell, tuple(fs)))
-    want = _critical_divisions(basis)
+    want = critical_divisions(basis)
     if any(d.remainder for d in want):
         with pytest.raises(InternalReductionFailure, match="does not reduce to zero"):
             extract_syzygies(basis)
@@ -241,7 +235,7 @@ def test_extract_syzygies_widens_over_qq(monkeypatch):
     at twice the width, and then fails as divide does."""
     cell = make_cell((0, 1, 1))
     basis = IdealBasis(cell, (P("x^2+y^2"), P("x*y"), P("y+1000000")))
-    assert _critical_divisions(basis)[0].remainder == P("-1000000000000000000")
+    assert critical_divisions(basis)[0].remainder == P("-1000000000000000000")
     widths = []
     kronecker = canonical_mod._kronecker
 

@@ -43,6 +43,7 @@ from conftest import (
     zero_matrix,
 )
 from oracles import (
+    critical_divisions,
     enumerate_lex_segment_cells,
     hb_matrix,
     is_groebner,
@@ -370,6 +371,56 @@ def test_syzygy_certificate_agrees_with_critical_divisions(cell, field, seed, mo
         assert not verify_groebner_property(basis, changed)
 
     assert verify_groebner_property(raw_basis, extract_syzygies(raw_basis))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=cells(),
+    field=st.sampled_from([QQ, GF(10007), GF(3), GF(2)]),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.booleans(),
+)
+def test_critical_reductions_match_divide(cell, field, seed, perturb):
+    """groebner.divide of the critical S-polynomials of psi(A) leaves no
+    remainder, and its quotients are minus the columns of A, all in K[y]:
+    extract_syzygies reads A back.  With x added to f_t, extract_syzygies
+    fails exactly when some remainder of divide is nonzero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small characteristic
+        A = sample(cell, field, seed)
+    if field == QQ:
+        A = with_fractions(A, random.Random(seed))
+    fs = list(psi(A).polys)
+    perturb = perturb and drl_key((1, 0)) < drl_key(fs[-1].leading_monomial())
+    if perturb:
+        fs[-1] = fs[-1] + Poly.monomial(field, 2, (1, 0))
+    basis = _strip_x_t_tails(IdealBasis(cell, tuple(fs)))
+    want = critical_divisions(basis)
+    if any(d.remainder for d in want):
+        assert perturb
+        with pytest.raises(InternalReductionFailure, match="does not reduce to zero"):
+            extract_syzygies(basis)
+        return
+    M = extract_syzygies(basis)
+    if not perturb:
+        assert M.entries == A.entries
+    for j, d in enumerate(want):
+        for i, q in enumerate(d.quotients):
+            assert all(a == 0 for a, _ in q.terms)
+            assert M.entries[i][j] == -Poly.from_terms(
+                field, 1, [((b,), c) for (_, b), c in q.terms.items()]
+            )
+
+
+def test_critical_reductions_nonzero_remainder():
+    cell = make_cell(M_EX1)
+    F = GF(10007)
+    fs = list(psi(sample(cell, F, 3)).polys)
+    fs[-1] = fs[-1] + parse_poly("x", F, 2)
+    basis = _strip_x_t_tails(IdealBasis(cell, tuple(fs)))
+    assert any(d.remainder for d in critical_divisions(basis))
+    with pytest.raises(InternalReductionFailure, match="does not reduce to zero"):
+        extract_syzygies(basis)
 
 
 def test_sample_determinism_and_shape():
