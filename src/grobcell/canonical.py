@@ -19,10 +19,9 @@ term.  The moves carry f_0..f_t along, and
 (verify_groebner_property), which makes it psi(A) and the input ideal's.
 
 The working matrix holds the K[y] entries of A alone, in a ParamMatrix;
-X stays implicit.  One scan per matrix state, _find_violation, checks
-every entry against its raw bound and finds the next slot over its
-admissible bound, so the matrix it finds none in is the admissible result.
-A move is a row and a column operation on X + A whose x terms cancel, so
+X stays implicit.  The moves run in row-major sweeps, and the one scan,
+_find_violation, checks each entry it passes against its raw bound.  A
+move is a row and a column operation on X + A whose x terms cancel, so
 it is carried out as univariate updates of A.
 """
 
@@ -116,7 +115,7 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
     field, LeadingTermMismatch unless each f_i is monic with leading
     monomial x^(t-i) y^(m_i), and InternalError when some S_j has an x
     exponent past t, which _strip_x_t_tails rules out.  The raw bounds are
-    checked by _find_violation, on this matrix and after every move.
+    checked by _find_violation, on every entry that the sweeps pass.
 
     The division is groebner.divide's, on one int per S_j.  A monomial
     x^a y^b with a <= t is divisible by the leading monomial x^(t-i)
@@ -291,24 +290,17 @@ def reduction_move(M: ParamMatrix, basis: IdealBasis, i: int, j: int) -> tuple:
     return ParamMatrix(cell, field, tuple(tuple(r) for r in A)), IdealBasis(cell, tuple(fs))
 
 
-def _scan_position(slot) -> tuple:
-    """Where the fixed discipline reaches slot (i, j): grow the validated
-    upper-left block; within each block check the last row right-to-left,
-    then the last column top-to-bottom."""
-    i, j = slot
-    return (i - 1, 0, -j) if i > j else (j, 1, i)
-
-
-def _find_violation(M: ParamMatrix):
-    """The one bound scan of a working matrix: check every nonzero entry
-    against its raw bound, row-major, and return the slot over its
-    admissible bound that the fixed discipline reaches first, or None when
-    the matrix is admissible.  A broken raw bound means a defect, not bad
-    input; the first broken slot in row-major order is raised."""
-    cell = M.cell
-    over = []
-    for i, row in enumerate(M.entries, 1):
-        for j, a in enumerate(row, 1):
+def _find_violation(M: ParamMatrix, start: tuple = (1, 1)):
+    """The one bound scan: walk the slots row-major from `start`, wrapping
+    around once; raise InternalError, a defect, at a nonzero entry over its
+    raw bound, and return the first slot over its admissible bound, or None."""
+    cell, rows = M.cell, M.entries
+    i0, j0 = start
+    for k in range(len(rows) + 1):  # row i0 twice: from j0 on, then before it
+        i = (i0 - 1 + k) % len(rows) + 1
+        row = rows[i - 1]
+        for j in range(j0 if k == 0 else 1, j0 if k == len(rows) else len(row) + 1):
+            a = row[j - 1]
             if not a:
                 continue
             deg = a.degree()
@@ -316,8 +308,8 @@ def _find_violation(M: ParamMatrix):
             if deg > bound:
                 raise InternalError(f"raw bound broken at ({i},{j}): deg {deg} > {bound}")
             if deg > cell.bound(i, j):
-                over.append((i, j))
-    return min(over, key=_scan_position, default=None)
+                return i, j
+    return None
 
 
 def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
@@ -373,13 +365,19 @@ def canonical_matrix(basis: IdealBasis) -> tuple:
     x exponent of a critical S-polynomial at most t, as extract_syzygies
     needs.  The raw matrix is minus the one K[y]-representation of each
     critical S-polynomial by the stripped basis (see extract_syzygies).
+
+    The moves run in row-major sweeps, each scan from the slot just moved,
+    until a whole pass finds no slot over its admissible bound.  The ideal
+    has one admissible matrix, so the order sets only the number of moves.
+    The move cap is a guard, not a proven bound: a rescan from (1, 1) after
+    every move exceeded it on valid input.
     """
     cell, t = basis.cell, basis.cell.t
     basis = _strip_x_t_tails(basis)
     M = extract_syzygies(basis)
     cap = 10 * (t + 1) * t * (max(_max_raw_bound(cell), 0) + 1)
-    moves = 0
-    while (slot := _find_violation(M)) is not None:
+    moves, slot = 0, (1, 1)
+    while (slot := _find_violation(M, slot)) is not None:
         if moves >= cap:
             raise NonTerminationGuard(
                 f"exceeded {cap} reduction moves on {cell}; this is a defect"

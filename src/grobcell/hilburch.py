@@ -48,8 +48,8 @@ class ParamMatrix:
     A value is admissible, the coordinates of one point of the cell, when
     every entry is within its cell.bound: check_membership checks that on
     input, and canonical_matrix returns its working matrix, kept here under
-    the looser raw bounds while it is reduced, once _find_violation finds
-    no slot over its bound."""
+    the looser raw bounds while it is reduced, once a whole sweep of
+    _find_violation finds no slot over its bound."""
 
     cell: MonomialCell
     field: object

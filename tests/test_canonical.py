@@ -15,7 +15,6 @@ from grobcell.canonical import (
     _find_violation,
     _max_raw_bound,
     _prepare_from_gb,
-    _scan_position,
     _strip_x_t_tails,
     canonical_matrix,
     extract_syzygies,
@@ -35,6 +34,7 @@ from grobcell.errors import (
 from grobcell.groebner import buchberger, divide, initial_ideal
 from grobcell.hilburch import (
     IdealBasis,
+    param_matrix_from_json,
     param_matrix_to_json,
     verify_groebner_property,
 )
@@ -278,17 +278,6 @@ def test_max_raw_bound_is_the_full_scan():
         assert _max_raw_bound(cell) == full, cell.m
 
 
-def test_scan_position_follows_the_discipline():
-    # grow the upper-left block; in block s, row s+1 right-to-left, then
-    # column s top-to-bottom, each slot once
-    for t in range(1, 7):
-        order = []
-        for s in range(1, t + 1):
-            order += [(s + 1, j) for j in range(s, 0, -1)] + [(i, s) for i in range(1, s + 1)]
-        slots = [(i, j) for i in range(1, t + 2) for j in range(1, t + 1)]
-        assert sorted(slots, key=_scan_position) == order
-
-
 def test_reduction_move_worked_example_sequence(ex3_cell):
     basis = example_basis(ex3_cell)
     M = extract_syzygies(basis)
@@ -326,8 +315,8 @@ def test_grade_bounds_hold_along_move_path(ex3_cell):
     basis = example_basis(ex3_cell)
     M = extract_syzygies(basis)
     for step in ((3, 2), (1, 3), (2, 3)):
-        # canonical_matrix checks these bounds after every move, through
-        # _find_violation; here they are checked slot by slot
+        # canonical_matrix checks these bounds on every entry its sweeps
+        # pass, through _find_violation; here they are checked slot by slot
         M, basis = reduction_move(M, basis, *step)
         for i in range(1, ex3_cell.t + 2):
             for j in range(1, ex3_cell.t + 1):
@@ -577,17 +566,54 @@ def test_canonical_matrix_of_psi_equals_buchberger_route(cell, field, seed):
     assert canonicalize(list(basis.polys), cell) == A
 
 
+@pytest.mark.filterwarnings("ignore:characteristic of GF")
 @settings(max_examples=30, deadline=None)
 @given(
     cell=cells(max_t=5),
-    field=st.sampled_from([QQ, GF(101)]),
+    field=st.sampled_from([QQ, GF(101), GF(3)]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_canonical_matrix_with_moves_equals_buchberger_route(cell, field, seed):
     basis = perturbed_basis(cell, field, seed)
     stripped = _strip_x_t_tails(basis)
     assert verify_groebner_property(stripped, extract_syzygies(stripped))
-    assert canonical_matrix(basis) == _canonicalize(list(basis.polys), cell)
+    # perturbed_basis keeps the ideal of psi(sample(...)), so the moves must
+    # end at the sampled matrix, whatever their order
+    A = sample(cell, field, seed)
+    result = canonical_matrix(basis)
+    assert result == (A, psi(A))
+    assert result == _canonicalize(list(basis.polys), cell)
+
+
+def test_fractional_mex2_round_trip_takes_few_moves(monkeypatch):
+    # the sweeps return psi(fractional M_EX2)'s matrix in 184 moves; a
+    # rescan from the first slot after every move took 1,284
+    calls = []
+
+    def counted(M, basis, i, j):
+        calls.append((i, j))
+        return reduction_move(M, basis, i, j)
+
+    A = param_matrix_from_json(json.loads((DATA / "mex2_fractions_qq.json").read_text()))
+    monkeypatch.setattr(canonical_mod, "reduction_move", counted)
+    assert canonicalize(list(psi(A).polys)) == A
+    assert len(calls) <= 300
+
+
+@pytest.mark.filterwarnings("ignore:characteristic of GF")
+def test_recombined_gf3_input_canonicalizes_within_the_move_cap():
+    """tests/data/recombined11_gf3.* (a CI guard's input and expected
+    matrix) are L*U*psi(A0) and A0 for A0 = sample of the cell below over
+    GF(3) with seed 637692 and recombine's rng random.Random(637692).  A
+    rescan from the first slot after every move exceeded the move cap of
+    9,240 on it; the sweeps take 138 moves."""
+    cell, field, seed = make_cell([0, 1, 1, 3, 5, 5, 6, 7, 12, 13, 15, 16]), GF(3), 637692
+    A0 = sample(cell, field, seed)
+    gens = recombine(list(psi(A0).polys), random.Random(seed))
+    text = "".join(format_poly(g) + "\n" for g in gens)
+    assert (DATA / "recombined11_gf3.txt").read_text() == text
+    assert json.loads((DATA / "recombined11_gf3.json").read_text()) == param_matrix_to_json(A0)
+    assert canonicalize(gens) == A0
 
 
 def test_reduction_moves_preserve_ideal_random():
@@ -609,7 +635,8 @@ def test_reduction_moves_preserve_ideal_random():
         M = extract_syzygies(basis)
         assert buchberger(signed_minors(M)).elements == reference
         assert list(basis.polys) == signed_minors(M)
-        while (slot := _find_violation(M)) is not None:
+        slot = (1, 1)
+        while (slot := _find_violation(M, slot)) is not None:
             i, j = slot
             branches.add((i < j, j == (t if i < j else 1)))
             M, basis = reduction_move(M, basis, i, j)

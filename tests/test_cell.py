@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from grobcell import make_cell
@@ -146,6 +148,35 @@ def test_param_count_matches_dimension_only_for_lex():
     # param_count is defined for every cell; dimension refuses non-lex ones
     c = make_cell([0, 2, 2, 5])
     assert param_count(c) > 0
+
+
+def test_param_counts_sum_to_the_point_count_of_the_hilbert_scheme():
+    # The cells of colength n partition Hilb^n(A^2) into affine spaces of
+    # dimension param_count, so over F_q the sum of q^param_count over them
+    # is the point count of Hilb^n(A^2): the coefficient of T^n in
+    # prod_(k>=1) 1/(1 - q^(k+1) T^k) (Ellingsrud and Stromme 1987;
+    # Goettsche 1990).  Neither side is built with cell.py: the cells are
+    # their m-vectors (0, m_1 <= ... <= m_t) with m_1 > 0 and sum n, non-lex
+    # ones included, and the product is a power series in T over Z[q],
+    # each coefficient a Counter {exponent of q: coefficient}.
+    top = 14
+    series = [Counter({0: 1})] + [Counter() for _ in range(top)]
+    for k in range(1, top + 1):  # times 1/(1 - q^(k+1) T^k), in place
+        for n in range(k, top + 1):
+            for e, c in series[n - k].items():
+                series[n][e + k + 1] += c
+
+    def tails(n, least):
+        """The non-decreasing (m_1, ..., m_t) with m_1 >= least and sum n."""
+        if n == 0:
+            yield ()
+        for first in range(least, n + 1):
+            for rest in tails(n - first, first):
+                yield (first, *rest)
+
+    for n in range(1, top + 1):
+        counts = Counter(param_count(make_cell([0, *m])) for m in tails(n, 1))
+        assert counts == series[n], n
 
 
 def test_cell_from_minimal_generators_round_trip():

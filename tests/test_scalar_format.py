@@ -112,7 +112,8 @@ def test_maps_keep_scalar_format(cell, field, seed):
     carried = _strip_x_t_tails(perturbed_basis(cell, field, seed))
     M = extract_syzygies(carried)
     assert_matrix_format(M)
-    while (slot := _find_violation(M)) is not None:
+    slot = (1, 1)
+    while (slot := _find_violation(M, slot)) is not None:
         M, carried = reduction_move(M, carried, *slot)
         assert_matrix_format(M)
         assert_format(*carried.polys)
