@@ -42,11 +42,24 @@ range; an lcm past it re-packs G into a packing whose range at least
 doubles, which happens O(log deg) times.  Each S-polynomial is built on the
 images, one int addition per term, and reduced by the same heap loop, which
 then writes no quotient; minimalization and tail reduction run on the
-images too, and only the returned basis becomes Poly values.  Pair keys are
-drl_key tuples of exponent-tuple leading monomials, so re-packing never
-re-keys the pair heap.  The tests keep a Poly-level loop with the normal
-strategy as the oracle this one must match (tests/oracles.py,
-plain_buchberger): a different pair order that must reach the same basis.
+images too, and only the returned basis becomes Poly values.  The tests keep
+a Poly-level loop with the normal strategy as the oracle this one must match
+(tests/oracles.py, plain_buchberger): a different pair order that must reach
+the same basis.
+
+No input joins G as it is.  Buchberger takes the inputs by degree and adds
+each one's remainder by G, with the input's degree as its sugar, and skips
+an input whose remainder is zero.  This cannot change the ideal: each
+remainder is a nonzero multiple of its input minus an element of the ideal
+of the inputs before it, so G generates, at every step, the ideal of the
+inputs taken so far.  It cannot change the output either, since the reduced
+basis is unique; it only spares the S-pairs that would redo the linear
+algebra among the inputs.  No remainder's degree passes its input's, so the
+packing for the largest input degree holds these divisions.  The chain
+criterion runs on the images too: before it, an lcm past the packing's range
+widens G, and then the packed lcm is tested against G's packed leading
+monomials.  Pair keys stay drl_key tuples of exponent-tuple leading
+monomials, so re-packing never re-keys the pair heap.
 
 The scalars are the Poly's own, so they cross the boundary unchanged:
 over GF(p) ints in [0, p), and Buchberger keeps G monic; over QQ ints when
@@ -231,7 +244,8 @@ class _PackedDivisors:
         heap = [-m for m in work]
         heapq.heapify(heap)
         heappop, heappush = heapq.heappop, heapq.heappush
-        divides = self.packing.divides
+        packing = self.packing  # its divides test, inlined below
+        xmask, sshift, smask, dshift = packing.xmask, packing.sshift, packing.smask, packing.dshift
         rem: dict = {}
         while heap:
             mono = -heappop(heap)
@@ -239,8 +253,8 @@ class _PackedDivisors:
             if coeff is None:
                 continue
             for k, (lead, scale, tail) in enumerate(leads):
-                if divides(lead, mono):
-                    qm = mono - lead
+                qm = mono - lead
+                if qm & xmask <= qm >> sshift & smask <= qm >> dshift:
                     if p:
                         qc = coeff * scale % p
                     elif pseudo:
@@ -299,11 +313,20 @@ class GroebnerBasis:
 def buchberger(gens) -> GroebnerBasis:
     """Buchberger's algorithm with the sugar strategy and the coprimality
     and chain criteria, followed by interreduction to the unique reduced
-    basis, on one packed image of G (see the module docstring)."""
+    basis, on one packed image of G (see the module docstring).
+
+    The inputs join G in order of degree, each reduced by G first; one that
+    reduces to zero is skipped.  A reduced input is a nonzero multiple of
+    the input minus an element of the ideal of the inputs before it, so G
+    keeps generating the ideal of the inputs taken so far, and the reduced
+    basis is unique, so the result is the one the unreduced inputs give."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    G = _PackedDivisors(gens[0], max(g.degree() for g in gens))
+    for g in gens:
+        gens[0]._check_compatible(g)
+    gens.sort(key=Poly.degree)
+    G = _PackedDivisors(gens[0], gens[-1].degree())
     lms: list = []  # leading monomials as exponent tuples, indexed like G
     sugars: list = []  # indexed like G
 
@@ -324,8 +347,9 @@ def buchberger(gens) -> GroebnerBasis:
         sugars.append(sugar)
 
     for g in gens:
-        gens[0]._check_compatible(g)
-        add(G.image(g), g.degree())
+        r = G.divide(G.primitive(G.image(g)))
+        if r:
+            add(r, g.degree())
     treated: set = set()
     while pending:
         sugar, _, i, j = heapq.heappop(pending)
@@ -334,21 +358,26 @@ def buchberger(gens) -> GroebnerBasis:
         lcm = mono_lcm(li, lj)
         if lcm == mono_mul(li, lj):
             continue  # coprime leading terms
-        chained = False
-        for k in range(len(lms)):
-            if k in (i, j):
-                continue
-            if mono_divides(lms[k], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in treated and pjk in treated:
-                    chained = True
-                    break
-        if chained:
-            continue
         if sum(lcm) > G.packing.max_degree:
             G.repack(sum(lcm))
-        packed_lcm = G.packing.pack(lcm)
+        packing = G.packing
+        packed_lcm = packing.pack(lcm)
+        # Chain criterion, with packing.divides inlined on the packed leads.
+        xmask, sshift, smask, dshift = packing.xmask, packing.sshift, packing.smask, packing.dshift
+        chained = False
+        for k, (lead_k, _, _) in enumerate(G.leads):
+            q = packed_lcm - lead_k
+            if (
+                q & xmask <= q >> sshift & smask <= q >> dshift
+                and k != i
+                and k != j
+                and (min(i, k), max(i, k)) in treated
+                and (min(j, k), max(j, k)) in treated
+            ):
+                chained = True
+                break
+        if chained:
+            continue
         # The leading coefficients; both are 1 over GF(p), where G is monic.
         (lead_i, ai, _), (lead_j, aj, _) = G.leads[i], G.leads[j]
         g = math.gcd(ai, aj)

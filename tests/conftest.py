@@ -222,9 +222,14 @@ def wrong_lead_move(move):
     return mutated
 
 
-def evens_recipe(t):
-    """The inverse-map input of the benchmark's `qq/` rungs on
-    m = (0, 2, ..., 2t), with seed 1 for both draws: A sampled over QQ and
-    the generators L*U*psi(A).  Returns (A, generators)."""
-    A = sample(make_cell(range(0, 2 * t + 1, 2)), QQ, 1)
+def recipe(m):
+    """The inverse-map input of the benchmark's `qq/` rungs, on the cell m,
+    with seed 1 for both draws: A sampled over QQ and the generators
+    L*U*psi(A).  Returns (A, generators)."""
+    A = sample(make_cell(m), QQ, 1)
     return A, recombine(list(psi(A).polys), random.Random(1))
+
+
+def evens_recipe(t):
+    """The recipe on m = (0, 2, ..., 2t)."""
+    return recipe(range(0, 2 * t + 1, 2))

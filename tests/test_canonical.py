@@ -52,6 +52,7 @@ from conftest import (
     evens_recipe,
     param_matrix_from_strings,
     perturbed_basis,
+    recipe,
     recombine,
     stale_basis_move,
     with_fractions,
@@ -501,6 +502,15 @@ def test_canonicalize_from_scrambled_generators(ex3_gens, ex3_cell):
 @pytest.mark.parametrize("t", [8, 10])
 def test_canonicalize_past_the_coefficient_growth_cliff(t):
     A, gens = evens_recipe(t)
+    assert canonicalize(gens) == A
+
+
+def test_canonicalize_near_flat_recipe():
+    """The recipe on the cell (0, 1, ..., 1) with t = 40, which is not a
+    lex segment.  On these cells Buchberger is most of canonicalize; CI
+    runs the same recipe at t = 200 through the CLI under a timeout."""
+    A, gens = recipe([0] + [1] * 40)
+    assert not A.cell.lex_segment()
     assert canonicalize(gens) == A
 
 

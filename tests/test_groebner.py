@@ -1,4 +1,5 @@
 import heapq
+import importlib.util
 import itertools
 import math
 import random
@@ -376,19 +377,36 @@ def test_zero_matrix_psi_is_staircase():
     assert all(len(f.terms) == 1 for f in basis.polys)
 
 
+def sympy_basis(gens):
+    """sympy's grevlex reduced basis of the nonzero generators in K[x, y],
+    made monic (mod p over GF(p)) and sorted like GroebnerBasis.elements."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    field = gens[0].field
+    scalar = (lambda c: sympy.Rational(c.numerator, c.denominator)) if field is QQ else int
+    exprs = [sympy.Add(*[scalar(c) * x**a * y**b for (a, b), c in g.terms.items()]) for g in gens]
+    options = {"domain": "QQ"} if field is QQ else {"modulus": field.p}
+    theirs = sympy.groebner(exprs, x, y, order="grevlex", **options)
+    return tuple(
+        sorted(
+            (
+                Poly.from_terms(
+                    field, 2,
+                    [(m, Fraction(int(c.p), int(c.q))) for m, c in sympy.Poly(e, x, y).terms()],
+                ).monic()
+                for e in theirs.exprs
+            ),
+            key=lambda g: drl_key(g.leading_monomial()),
+            reverse=True,
+        )
+    )
+
+
 def test_buchberger_matches_sympy_groebner():
     """A second oracle that shares no code with this package: sympy's
     grevlex reduced basis, compared monic (and mod p over GF(p))."""
-    sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
-
-    def to_sympy(f):
-        scalar = (
-            (lambda c: sympy.Rational(c.numerator, c.denominator))
-            if f.field is QQ else (lambda c: c)
-        )
-        return sympy.Add(*[scalar(c) * x**a * y**b for (a, b), c in f.terms.items()])
-
+    pytest.importorskip("sympy")
     rng = random.Random(4)
     kinds = set()
     for k in range(16):
@@ -401,20 +419,7 @@ def test_buchberger_matches_sympy_groebner():
         if field is QQ:
             A = with_fractions(A, rng)
         gens = recombine(list(psi(A).polys), rng)
-        options = {"domain": "QQ"} if field is QQ else {"modulus": field.p}
-        theirs = sympy.groebner([to_sympy(g) for g in gens], x, y, order="grevlex", **options)
-        want = sorted(
-            (
-                Poly.from_terms(
-                    field, 2,
-                    [(m, Fraction(int(c.p), int(c.q))) for m, c in sympy.Poly(e, x, y).terms()],
-                ).monic()
-                for e in theirs.exprs
-            ),
-            key=lambda g: drl_key(g.leading_monomial()),
-            reverse=True,
-        )
-        assert buchberger(gens).elements == tuple(want), (cell.m, field)
+        assert buchberger(gens).elements == sympy_basis(gens), (cell.m, field)
     assert kinds == {(q, lex) for q in (True, False) for lex in (True, False)}
 
 
@@ -470,6 +475,59 @@ def test_buchberger_matches_plain_buchberger(cell, field, seed, curves):
     assert_same_basis(buchberger(gens), plain_buchberger(gens))
 
 
+def spy_on_appends(monkeypatch):
+    """The list of images that buchberger appends to G, in order, filled as
+    it runs.  A re-packing re-appends every image of G; those are left out."""
+    appended = []
+    append, repack = groebner_mod._PackedDivisors.append, groebner_mod._PackedDivisors.repack
+
+    def spy_append(self, image):
+        appended.append(image)
+        append(self, image)
+
+    def spy_repack(self, top):
+        n = len(appended)
+        repack(self, top)
+        del appended[n:]
+
+    monkeypatch.setattr(groebner_mod._PackedDivisors, "append", spy_append)
+    monkeypatch.setattr(groebner_mod._PackedDivisors, "repack", spy_repack)
+    return appended
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)])
+def test_buchberger_reduces_each_input_before_pairing(field, monkeypatch):
+    """Inputs join G by degree, each reduced by G, and one that reduces to
+    zero is skipped.  psi(A) on m = (0, 2, 4, 6), fractional over QQ, is a
+    Groebner basis with generators f_0..f_3 of the distinct degrees 3..6.
+    Add a duplicate of f_3, h = (x + y) f_3 - y^2 f_0 of degree 7, which
+    lies in the ideal of the others, and a zero.  Once f_0..f_3 have joined,
+    G is a Groebner basis of that ideal, so the second f_3 and h reduce to
+    zero and no S-pair appends: exactly four images join G, whether the
+    generators come in ascending or in descending degree order.  The basis
+    is plain_buchberger's, and sympy's when it is installed, as it is for a
+    recombination of the same generators.  An all-zero input is refused."""
+    appended = spy_on_appends(monkeypatch)
+    rng = random.Random(5)
+    A = sample(make_cell([0, 2, 4, 6]), field, 5)
+    if field is QQ:
+        A = with_fractions(A, rng)
+    fs = list(psi(A).polys)
+    assert [f.degree() for f in fs] == [3, 4, 5, 6]
+    h = P("x+y", field) * fs[3] - P("y^2", field) * fs[0]
+    ascending = fs + [fs[3], h, Poly.zero(field, 2)]
+    want = plain_buchberger(ascending)
+    for gens in (ascending, ascending[::-1]):
+        appended.clear()
+        assert_same_basis(buchberger(gens), want)
+        assert len(appended) == 4
+    assert_same_basis(buchberger(recombine(ascending[:-1], rng)), want)
+    if importlib.util.find_spec("sympy"):
+        assert want.elements == sympy_basis(ascending[:-1])
+    with pytest.raises(ValueError):
+        buchberger([Poly.zero(field, 2)] * 2)
+
+
 def test_buchberger_has_no_coefficient_growth_cliff(monkeypatch):
     """On the m=2i, t=8 recipe input over QQ the reduced basis has 9
     elements with coefficients of at most 33 bits.  Pairs taken by lcm
@@ -495,26 +553,25 @@ def test_buchberger_has_no_coefficient_growth_cliff(monkeypatch):
 
 
 def test_buchberger_keeps_primitive_int_images(monkeypatch):
-    """Over QQ, G holds primitive images: every image buchberger appends
-    has int coefficients, content 1 and a positive leading coefficient, on
-    the m=2i, t=8 recipe and on a recombination of psi(A) with fractional
-    coefficients.  Only the returned basis is monic."""
-    appended = []
-    append = groebner_mod._PackedDivisors.append
-
-    def spy(self, image):
-        appended.append(image)
-        append(self, image)
-
-    monkeypatch.setattr(groebner_mod._PackedDivisors, "append", spy)
+    """Over QQ, G holds primitive images: every image buchberger appends,
+    reduced input or S-pair remainder, has int coefficients, content 1 and
+    a positive leading coefficient.  On the m=2i, t=8 recipe and on a
+    recombination of psi(A) with fractional coefficients the reduced inputs
+    already do the S-pairs' work: G is one image per input.  The input loop
+    appends at most one image per input, so on the fractional curves
+    x^2*y/2 - 3/4 and 2x*y^2/3 - 5, where G grows past its inputs, S-pair
+    remainders are appended and checked too.  Only the returned basis is
+    monic."""
+    appended = spy_on_appends(monkeypatch)
     rng = random.Random(7)
     A = with_fractions(sample(make_cell(M_EX3), QQ, 7), rng)
     fractional = recombine(list(psi(A).polys), rng)
     assert any(c.denominator != 1 for g in fractional for c in g.terms.values())
-    for gens in (evens_recipe(8)[1], fractional):
+    curves = [P("1/2*x^2*y-3/4"), P("2/3*x*y^2-5")]
+    for gens, pairs_append in ((evens_recipe(8)[1], False), (fractional, False), (curves, True)):
         appended.clear()
         buchberger(gens)
-        assert len(appended) > len(gens)
+        assert len(appended) > len(gens) if pairs_append else len(appended) == len(gens)
         for image in appended:
             assert all(type(c) is int for c in image.values())
             assert math.gcd(*image.values()) == 1
