@@ -30,13 +30,13 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count, repeat
 from operator import attrgetter, itemgetter
 
 from .cell import MonomialCell, hilbert_function, make_cell
 from .errors import BoundViolation, FieldMismatch, InternalError, LeadingTermMismatch
 from .field import char_ok, field_from_json
-from .poly import Poly, drl_key, format_poly, parse_poly
+from .poly import Poly, format_poly, parse_poly
 
 _terms, _x, _y = attrgetter("terms"), itemgetter(0), itemgetter(1)
 
@@ -71,27 +71,32 @@ class IdealBasis:
 
 
 def check_membership(cell: MonomialCell, entries, field) -> ParamMatrix:
-    """Validate shapes and degree bounds; report every violating slot."""
-    t = cell.t
-    rows = [list(r) for r in entries]
+    """Validate shapes and degree bounds; report every violating slot.
+
+    One row-major pass: a slot that is not a polynomial in y over `field`
+    raises ValueError at once; a nonzero slot whose degree (its largest
+    exponent) exceeds cell.bound, computed here from m, is collected, and
+    all of them raise BoundViolation at the end."""
+    t, m = cell.t, cell.m
+    rows = tuple(map(tuple, entries))
     if len(rows) != t + 1 or any(len(r) != t for r in rows):
         raise ValueError(f"expected a {t + 1} x {t} matrix of entries")
     violations = []
-    for r in range(t + 1):
-        for c in range(t):
-            e = rows[r][c]
+    for i, row in enumerate(rows, 1):
+        for j, e in enumerate(row, 1):
             if not isinstance(e, Poly) or e.nvars != 1:
-                raise ValueError(f"entry ({r + 1},{c + 1}) is not a polynomial in y")
-            if e.field != field:
-                raise ValueError(f"entry ({r + 1},{c + 1}) lives in {e.field}, not {field}")
-            if e.is_zero():
-                continue
-            b = cell.bound(r + 1, c + 1)
-            if e.degree() > b:
-                violations.append((r + 1, c + 1, int(e.degree()), b))
+                raise ValueError(f"entry ({i},{j}) is not a polynomial in y")
+            if e.field is not field and e.field != field:
+                raise ValueError(f"entry ({i},{j}) lives in {e.field}, not {field}")
+            if e.terms:
+                (deg,) = max(e.terms)
+                u = i - j + m[j] - m[i - 1]
+                b = min(u - 1, m[i] - m[i - 1] - 1) if i <= j else min(u, m[j] - m[j - 1] - 1)
+                if deg > b:
+                    violations.append((i, j, deg, b))
     if violations:
         raise BoundViolation(violations)
-    return ParamMatrix(cell, field, tuple(tuple(r) for r in rows))
+    return ParamMatrix(cell, field, rows)
 
 
 def _ky(f: Poly, scale: int, p: int) -> list:
@@ -184,6 +189,10 @@ def psi(A: ParamMatrix) -> IdealBasis:
     for the lcm D of the denominators of A, which turns the coefficient of
     x^k into D^(t-k) times its value, divided out at the end, to an int
     whenever D^(t-k) divides it; over GF(p) on the residues in [0, p).
+    The coefficient list of x^k gives the terms x^k y^e of f_i, all at once
+    when D^(t-k) = 1, and its top degree d = k + len - 1; the leading
+    monomial is x^k y^(d-k) for the largest pair (d, k), since DRL compares
+    the degree first and then the power of x.
 
     Every element of K[y] is one int: its integer coefficients c_e packed
     as sum_e c_e 2^(w*e), signed (Kronecker substitution y -> 2^w).  A
@@ -267,18 +276,20 @@ def psi(A: ParamMatrix) -> IdealBasis:
     polys = []
     for i in range(t + 1):
         entries = coeffs if i == 0 else [v.get(i - 1, 0) for v in vs]
-        terms, lm = {}, None
+        terms, top = {}, (-1, -1)  # top: the largest (degree, k) of an x^k y^e
         for k, a in enumerate(entries):
             a = _unpack(a, w)
             if not a:
                 continue
+            top = max(top, (k + len(a) - 1, k))
             s = scales[k]
+            if s == 1:  # the coefficients themselves, zeros left out
+                terms.update(compress(zip(zip(repeat(k), count()), a), a))
+                continue
             for e, c in enumerate(a):
                 if c:
-                    terms[k, e] = c if p or s == 1 else c // s if c % s == 0 else Fraction(c, s)
-            top = (k, len(a) - 1)  # the largest monomial with x^k
-            if lm is None or drl_key(top) > drl_key(lm):
-                lm = top
+                    terms[k, e] = c // s if c % s == 0 else Fraction(c, s)
+        lm = (top[1], top[0] - top[1])  # DRL-largest: highest degree, then x
         f = Poly(field, 2, terms, lm)
         expected = (t - i, cell.m[i])
         if lm != expected or terms[lm] != one:

@@ -365,25 +365,56 @@ def parse_poly(text: str, field, nvars: int) -> Poly:
 _XY = itemgetter(0, 1)
 
 
+class _Powers(dict):
+    """The factor "*v^e" of one variable v by its exponent e, "*v" for 1
+    and "" for 0.  Exponents below 64 are stored; a larger one is formatted
+    on lookup and not kept, so the table never grows."""
+
+    __slots__ = ()
+
+    def __missing__(self, e):
+        return f"{self[1]}^{e}"
+
+
+_POWERS = tuple(
+    _Powers({0: "", 1: "*" + v, **{e: f"*{v}^{e}" for e in range(2, 64)}}) for v in "xyz"
+)
+
+
 def format_poly(p: Poly) -> str:
     """Render DRL-descending in the same grammar parse_poly accepts.
 
-    DRL-descending is descending (deg, x) in two variables and
-    (deg, x+y, x) in three; the sort keys end with the exponent tuple,
-    whose first entry x breaks the ties the sums leave."""
+    One sort of (degree sums..., monomial, coefficient) tuples orders the
+    terms: DRL-descending is descending (deg, x) in two variables and
+    (deg, x+y, x) in three, and the monomial's x breaks the ties the sums
+    leave.  Each term is then one string, its coefficient followed by the
+    factors looked up in _POWERS, one loop per ring; a coefficient 1 or -1
+    before a factor prints as "" or "-"."""
     terms = p.terms
     if not terms:
         return "0"
-    names = VAR_NAMES[p.nvars]
-    sums = (map(sum, terms), map(sum, map(_XY, terms))) if p.nvars == 3 else (map(sum, terms),)
+    xs, ys, zs = _POWERS
     out = []
-    for *_, mono in sorted(zip(*sums, terms), reverse=True):
-        factors = "".join(
-            [f"*{n}^{e}" if e > 1 else "*" + n if e else "" for n, e in zip(names, mono)]
-        )
-        c = str(terms[mono])
-        if factors and (c == "1" or c == "-1"):  # a unit coefficient is not printed
-            out.append(c[:-1] + factors[1:])
-        else:
-            out.append(c + factors)
+    if p.nvars == 1:
+        for (b,), c in sorted(terms.items(), reverse=True):
+            c = str(c)
+            if (c == "1" or c == "-1") and b:
+                out.append(c[:-1] + ys[b][1:])
+            else:
+                out.append(c + ys[b])
+    elif p.nvars == 2:
+        for _, (a, b), c in sorted(zip(map(sum, terms), terms, terms.values()), reverse=True):
+            c = str(c)
+            if (c == "1" or c == "-1") and (a or b):
+                out.append(c[:-1] + (xs[a] + ys[b])[1:])
+            else:
+                out.append(f"{c}{xs[a]}{ys[b]}")
+    else:
+        keys = zip(map(sum, terms), map(sum, map(_XY, terms)), terms, terms.values())
+        for _, _, (a, b, e), c in sorted(keys, reverse=True):
+            c = str(c)
+            if (c == "1" or c == "-1") and (a or b or e):
+                out.append(c[:-1] + (xs[a] + ys[b] + zs[e])[1:])
+            else:
+                out.append(f"{c}{xs[a]}{ys[b]}{zs[e]}")
     return "+".join(out).replace("+-", "-")

@@ -14,6 +14,7 @@ from conftest import (
     EX3_A_ROWS,
     EX3_GENS,
     EX3_REGENERATED,
+    M_EX2,
     M_EX3,
     stale_basis_move,
     wrong_lead_move,
@@ -515,6 +516,31 @@ def test_text_mode_golden(case, ex3_gens_file, ex3_matrix_file):
         "trials": ["sample", "--m", "0,5,7,11", "--seed", "1", "--trials", "3"],
     }[case]
     assert invoke(argv) == (0, TEXT_GOLDENS[case], "")
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+FORWARD_GOLDENS = {
+    # golden file: argv, with the matrix file it reads as {}
+    "mex2_gf10007.json": ["sample", "--m", ",".join(map(str, M_EX2)), "--field", "fp",
+                          "--prime", "10007", "--seed", "1", "--json"],
+    "mex2_gf10007_psi.json": ["psi", "--matrix", "{}/mex2_gf10007.json", "--json"],
+    "mex2_gf10007_psi_homogeneous.json": ["psi", "--matrix", "{}/mex2_gf10007.json",
+                                          "--homogeneous", "--json"],
+    "mex2_fractions_psi.json": ["psi", "--matrix", "{}/mex2_fractions_qq.json", "--json"],
+    "mex2_fractions_psi_homogeneous.json": ["psi", "--matrix", "{}/mex2_fractions_qq.json",
+                                            "--homogeneous", "--json"],
+    "mex2_fractions_betti.json": ["betti", "--matrix", "{}/mex2_fractions_qq.json", "--json"],
+    "mex2_fractions_verify.json": ["verify", "--matrix", "{}/mex2_fractions_qq.json", "--json"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(FORWARD_GOLDENS))
+def test_forward_output_golden(golden):
+    # the forward commands on M_EX2 over GF(10007) (seed 1) and over QQ
+    # with fractional entries, stdout byte for byte
+    argv = [a.format(DATA) for a in FORWARD_GOLDENS[golden]]
+    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+        assert invoke(argv) == (0, fh.read(), "")
 
 
 def test_repeat_runs_byte_identical(ex3_gens_file, ex3_matrix_file):

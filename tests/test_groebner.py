@@ -532,15 +532,9 @@ def test_buchberger_has_no_coefficient_growth_cliff(monkeypatch):
     """On the m=2i, t=8 recipe input over QQ the reduced basis has 9
     elements with coefficients of at most 33 bits.  Pairs taken by lcm
     alone appended 42 elements to G, with coefficients of up to 10,616
-    bits; taken by sugar, 17 of at most 33 bits."""
-    appended = []
-    append = groebner_mod._PackedDivisors.append
-
-    def spy(self, image):
-        appended.append(image)
-        append(self, image)
-
-    monkeypatch.setattr(groebner_mod._PackedDivisors, "append", spy)
+    bits; taken by sugar, 17 of at most 33 bits.  Re-packings of G are not
+    elements joining it, so the count leaves them out."""
+    appended = spy_on_appends(monkeypatch)
     _, gens = evens_recipe(8)
     assert len(buchberger(gens).elements) == 9
     assert len(appended) <= 20

@@ -29,7 +29,7 @@ from grobcell.hilburch import (
     verify_groebner_property,
 )
 from grobcell.cell import MAX_COLENGTH, param_count
-from grobcell.poly import Poly, drl_key, parse_poly
+from grobcell.poly import Poly, drl_key, parse_poly, variable
 
 from conftest import (
     EX3_A_ROWS,
@@ -65,6 +65,61 @@ def test_check_membership_reports_violation():
     with pytest.raises(BoundViolation) as exc:
         param_matrix_from_strings(cell, QQ, rows)
     assert (3, 2, 1, 0) in exc.value.violations
+
+
+@pytest.mark.parametrize("m", [M_EX3, (0, 2, 2, 5), (0, 1, 4, 4, 9)])
+def test_check_membership_error_contract(m):
+    """Shape first, then each slot row-major: a slot that is no polynomial
+    in y, or lives in another field, raises ValueError at once, even after
+    a violation; otherwise every slot over its cell.bound is reported, as
+    (i, j, degree, bound) in row-major order."""
+    cell = make_cell(m)
+    t, zero = cell.t, Poly.zero(QQ, 1)
+
+    def y_to(d, field=QQ):
+        return Poly.from_terms(field, 1, [((d,), 1)])
+
+    rows = [[zero] * t for _ in range(t + 1)]
+    for bad in (rows[:-1], rows + [[zero] * t], rows[:-1] + [[zero] * (t + 1)]):
+        with pytest.raises(ValueError, match=rf"^expected a {t + 1} x {t} matrix of entries$"):
+            check_membership(cell, bad, QQ)
+
+    def one_slot(i, j, e):
+        out = [list(r) for r in rows]
+        out[i - 1][j - 1] = e
+        return out
+
+    for e in ("y", 3, None, parse_poly("x*y", QQ, 2), variable(QQ, 3, "y")):
+        with pytest.raises(ValueError, match=rf"^entry \(2,{t}\) is not a polynomial in y$"):
+            check_membership(cell, one_slot(2, t, e), QQ)
+    with pytest.raises(ValueError, match=r"^entry \(1,1\) lives in GF\(7\), not QQ$"):
+        check_membership(cell, one_slot(1, 1, y_to(1, GF(7))), QQ)
+    with pytest.raises(ValueError, match=r"^entry \(1,1\) lives in QQ, not GF\(7\)$"):
+        check_membership(cell, rows, GF(7))
+
+    over = [[y_to(max(cell.bound(i, j) + 1, 0)) for j in range(1, t + 1)] for i in range(1, t + 2)]
+    want = [
+        (i, j, max(cell.bound(i, j) + 1, 0), cell.bound(i, j))
+        for i in range(1, t + 2)
+        for j in range(1, t + 1)
+    ]
+    with pytest.raises(BoundViolation) as exc:
+        check_membership(cell, over, QQ)
+    assert exc.value.violations == want
+    assert str(exc.value) == "; ".join(
+        f"slot ({i},{j}): degree {d} exceeds bound {b}" for i, j, d, b in want
+    )
+    at_bound = [[y_to(b) if b >= 0 else zero for _, _, _, b in want[r * t : (r + 1) * t]]
+                for r in range(t + 1)]
+    assert check_membership(cell, at_bound, QQ).entries == tuple(map(tuple, at_bound))
+
+    over[t][t - 1] = "y"  # a type error in the last slot, after every violation
+    with pytest.raises(ValueError, match=rf"^entry \({t + 1},{t}\) is not a polynomial in y$"):
+        check_membership(cell, over, QQ)
+    over[t][t - 1] = y_to(1)
+    over[t][0] = y_to(1, GF(7))
+    with pytest.raises(ValueError, match=rf"^entry \({t + 1},1\) lives in GF\(7\), not QQ$"):
+        check_membership(cell, over, QQ)
 
 
 def test_check_membership_zero_matrix():

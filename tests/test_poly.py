@@ -268,12 +268,19 @@ def test_text_round_trip_and_shape():
 
 @st.composite
 def rendered_polys(draw):
-    """Polynomials in 1-3 variables over QQ (with fractions), GF(2) and
-    GF(10007): zero, constants, +-1 coefficients and multi-digit exponents
-    all occur."""
-    field = draw(st.sampled_from([QQ, GF(2), GF(10007)]))
+    """Polynomials in 1-3 variables over QQ (with fractions), GF(2), GF(3)
+    and GF(10007), half of those in 3 variables homogeneous like psi_bar's
+    outputs: zero, constants, +-1 coefficients and multi-digit exponents,
+    some of them past the 64 factors format_poly keeps, all occur."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(10007)]))
     nvars = draw(st.integers(1, 3))
-    mono = st.tuples(*[st.sampled_from([0, 0, 1, 1, 2, 3, 10, 12])] * nvars)
+    exponent = st.sampled_from([0, 0, 1, 1, 2, 3, 10, 12, 100, 300])
+    mono = st.tuples(*[exponent] * nvars)
+    if nvars == 3 and draw(st.booleans()):
+        d = draw(exponent)
+        mono = st.integers(0, d).flatmap(
+            lambda a: st.integers(0, d - a).map(lambda b: (a, b, d - a - b))
+        )
     coeff = st.one_of(
         st.sampled_from([1, -1, 0, 2, -2]),
         st.integers(-(10**30), 10**30),
@@ -289,6 +296,8 @@ def rendered_polys(draw):
 @example(Poly.constant(QQ, 3, -1))
 @example(Poly.constant(GF(2), 2, 1))
 @example(Poly.from_terms(QQ, 3, [((1, 0, 0), -1), ((0, 1, 0), 1), ((0, 0, 1), Fraction(-1, 2))]))
+@example(Poly.from_terms(QQ, 2, [((10**12, 0), 1), ((0, 1), -1)]))  # x^(10^12) - y, at once
+@example(Poly.from_terms(GF(3), 3, [((0, 0, 10**12), 2), ((1, 0, 0), 1)]))
 def test_format_poly_matches_plain_renderer(f):
     assert format_poly(f) == plain_format_poly(f)
 
