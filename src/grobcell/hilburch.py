@@ -30,7 +30,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import compress
 from operator import attrgetter, itemgetter
 
 from .cell import MonomialCell, hilbert_function, make_cell
@@ -75,9 +75,9 @@ def check_membership(cell: MonomialCell, entries, field) -> ParamMatrix:
 
     One row-major pass: a slot that is not a polynomial in y over `field`
     raises ValueError at once; a nonzero slot whose degree (its largest
-    exponent) exceeds cell.bound, computed here from m, is collected, and
-    all of them raise BoundViolation at the end."""
-    t, m = cell.t, cell.m
+    exponent) exceeds cell.bound(i, j) is collected, and all of them raise
+    BoundViolation at the end."""
+    t = cell.t
     rows = tuple(map(tuple, entries))
     if len(rows) != t + 1 or any(len(r) != t for r in rows):
         raise ValueError(f"expected a {t + 1} x {t} matrix of entries")
@@ -90,8 +90,7 @@ def check_membership(cell: MonomialCell, entries, field) -> ParamMatrix:
                 raise ValueError(f"entry ({i},{j}) lives in {e.field}, not {field}")
             if e.terms:
                 (deg,) = max(e.terms)
-                u = i - j + m[j] - m[i - 1]
-                b = min(u - 1, m[i] - m[i - 1] - 1) if i <= j else min(u, m[j] - m[j - 1] - 1)
+                b = cell.bound(i, j)
                 if deg > b:
                     violations.append((i, j, deg, b))
     if violations:
@@ -189,10 +188,10 @@ def psi(A: ParamMatrix) -> IdealBasis:
     for the lcm D of the denominators of A, which turns the coefficient of
     x^k into D^(t-k) times its value, divided out at the end, to an int
     whenever D^(t-k) divides it; over GF(p) on the residues in [0, p).
-    The coefficient list of x^k gives the terms x^k y^e of f_i, all at once
-    when D^(t-k) = 1, and its top degree d = k + len - 1; the leading
-    monomial is x^k y^(d-k) for the largest pair (d, k), since DRL compares
-    the degree first and then the power of x.
+    The coefficient list of x^k gives the terms x^k y^e of f_i and its top
+    degree d = k + len - 1; the leading monomial is x^k y^(d-k) for the
+    largest pair (d, k), since DRL compares the degree first and then the
+    power of x.
 
     Every element of K[y] is one int: its integer coefficients c_e packed
     as sum_e c_e 2^(w*e), signed (Kronecker substitution y -> 2^w).  A
@@ -283,12 +282,9 @@ def psi(A: ParamMatrix) -> IdealBasis:
                 continue
             top = max(top, (k + len(a) - 1, k))
             s = scales[k]
-            if s == 1:  # the coefficients themselves, zeros left out
-                terms.update(compress(zip(zip(repeat(k), count()), a), a))
-                continue
             for e, c in enumerate(a):
                 if c:
-                    terms[k, e] = c // s if c % s == 0 else Fraction(c, s)
+                    terms[k, e] = c if s == 1 else c // s if c % s == 0 else Fraction(c, s)
         lm = (top[1], top[0] - top[1])  # DRL-largest: highest degree, then x
         f = Poly(field, 2, terms, lm)
         expected = (t - i, cell.m[i])
