@@ -49,8 +49,6 @@ from .hilburch import (
     _check_staircase,
     _int_coefficients,
     _kronecker,
-    _pack,
-    _unpack,
     grade_bound,
     verify_groebner_property,
 )
@@ -101,11 +99,6 @@ def _strip_x_t_tails(basis: IdealBasis) -> IdealBasis:
     return IdealBasis(basis.cell, tuple(fs))
 
 
-# Over GF(p), the number of top digits reduced mod p at once when the top
-# digit of a critical reduction is a nonzero multiple of p.
-_WINDOW = 8
-
-
 def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
     """The raw matrix A: column j is minus the quotients of the reduction of
     the critical S-polynomial S_j = y^(d_j) f_(j-1) - x f_j by f_0..f_t, so
@@ -147,8 +140,9 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
       subtracts c f_i, shifted, and d - c, a multiple of p, from the top
       digit, which clears it; so a digit grows by less than p^2 per step,
       from below p.  A top digit that is nonzero but 0 mod p is no term:
-      then the top _WINDOW digits are reduced mod p at once.  So every
-      digit stays below P p^2 + p in absolute value.
+      it is subtracted alone, which clears it and leaves the polynomial
+      over GF(p) and every other digit as they were.  So every digit
+      stays below P p^2 + p in absolute value.
     * Over QQ f_i is packed as F_i = D f_i, for the lcm D of the basis's
       denominators, and V holds D E times the working polynomial, for the
       lcm E of the quotient denominators so far; V is an int because that
@@ -195,10 +189,8 @@ def extract_syzygies(basis: IdealBasis) -> ParamMatrix:
             digit = ((V >> (w * K - 1)) + 1) >> 1 if K else V
             if p:
                 c = digit % p
-                if not c:
-                    lo = max(0, K - _WINDOW + 1) * w
-                    hi = ((V >> (lo - 1)) + 1) >> 1 if lo else V
-                    V += (_pack([a % p for a in _unpack(hi, w)], w) - hi) << lo
+                if not c:  # a multiple of p is no term: clear the digit
+                    V -= digit << w * K
                     continue
             i = t - K % T
             shift = K - lead[i]

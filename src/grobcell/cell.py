@@ -3,8 +3,8 @@
 A cell is determined by its m-vector.  From it everything else is derived:
 the d-vector of diagonal jumps, the Hilbert function of R/I0 (by counting
 staircase monomials), the degree matrix U, the degree-bound matrix b for
-parameter matrices, the parameter count N, the dimension formula with its
-upper and lower bounds, the special index sets and the generator-degree
+parameter matrices, the parameter count N (the dimension) with its upper
+and lower bounds, the special index sets and the generator-degree
 data used by the Betti machinery.  make_cell, the validating constructor,
 is also the one size gate: it refuses a cell past MAX_COLENGTH.
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .errors import (
     BadMVector,
     ColengthTooSmall,
-    InternalError,
     MatrixTooLarge,
     NotLexSegment,
     WrongInitialIdeal,
@@ -161,26 +160,13 @@ def param_count(cell: MonomialCell) -> int:
 
 
 def dimension(cell: MonomialCell) -> int:
-    """Dimension of the cell, computed three ways and cross-checked:
-    the slot count N, the Hilbert-function formula, and its compact form."""
+    """Dimension of a lex-segment cell: its parameter count N, as the
+    admissible matrices are the cell's affine coordinates.  On lex cells N
+    also equals the Hilbert-function formula and its compact form, which
+    the tests check."""
     if not cell.lex_segment():
         raise NotLexSegment(f"dimension formula requires a lex-segment cell, got {cell}")
-    n_slots = param_count(cell)
-    h = hilbert_function(cell)
-
-    def hv(i):
-        return h[i] if 0 <= i < len(h) else 0
-
-    by_formula = cell.colength() + 1 + sum(
-        hv(i) * (hv(i - 1) - hv(i - 2)) for i in range(1, len(h))
-    )
-    compact = 1 + sum(hv(i) * (hv(i - 1) - hv(i - 2) + 1) for i in range(len(h)))
-    if not (n_slots == by_formula == compact):
-        raise InternalError(
-            f"dimension formulas disagree for {cell}: "
-            f"slots={n_slots} formula={by_formula} compact={compact}"
-        )
-    return n_slots
+    return param_count(cell)
 
 
 def dimension_bounds(cell: MonomialCell) -> tuple:

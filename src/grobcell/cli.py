@@ -2,7 +2,8 @@
 operation.
 
 Exit codes: 0 on success, 2 for input or validation problems, 3 for
-internal defects.  Results go to stdout, diagnostics to stderr.  With
+internal defects.  Results go to stdout, diagnostics to stderr: one
+``warning: <message>`` line per distinct warning, then any error.  With
 ``--json`` every command emits a single JSON document; otherwise a compact
 human-readable rendering of the same data.
 """
@@ -13,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 from . import betti as betti_mod
 from . import cell as cell_mod
@@ -25,6 +27,7 @@ from .hilburch import (
     param_matrix_to_json,
     psi,
     sample,
+    verify_groebner_property,
 )
 from .poly import format_poly, parse_poly
 from .projective import psi_bar
@@ -244,10 +247,11 @@ def _cmd_psi(args, out):
 
 def _cmd_verify(args, out):
     A = _load_matrix(args)
-    column = _failing_column(psi(A), A)  # verify_groebner_property, naming the column
-    if column:
+    basis = psi(A)
+    if not verify_groebner_property(basis, A):
         raise InternalError(
-            f"column {column} of X+A is not a syzygy of psi(A) within its raw bounds"
+            f"column {_failing_column(basis, A)} of X+A is not a syzygy of psi(A) "
+            "within its raw bounds"
         )
     t = A.cell.t
     if args.json:
@@ -411,7 +415,12 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return args.func(args, out)
+            finally:  # each distinct warning once, before any error line
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    err.write(f"warning: {message}\n")
     except ValidationError as exc:
         err.write(f"error[{exc.code}]: {exc}\n")
         return 2

@@ -20,7 +20,8 @@ and each syzygy is checked as one identity on Kronecker-packed ints in
 K[x, y].  The checks on f_0..f_t (_check_staircase), their int
 coefficients (_int_coefficients) and the byte-wise packing (_kronecker)
 also serve canonical.extract_syzygies, which reduces the critical
-S-polynomials themselves on such ints, with the digits in DRL order.
+S-polynomials themselves on such ints, with the digits in DRL order.  The
+K[y] packing (_pack, _unpack) serves psi and the certificate alone.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,52 @@ def with_fractions(A, rng):
         for row in A.entries
     ]
     return check_membership(A.cell, entries, QQ)
+
+
+def m_vectors(n):
+    """Every cell of colength n, lex-segment or not, as its m-vector: each
+    (0, m_1 <= ... <= m_t) with m_1 > 0 and sum n, built without cell.py."""
+
+    def tails(n, least):
+        """The non-decreasing (m_1, ..., m_t) with m_1 >= least and sum n."""
+        if n == 0:
+            yield ()
+        for first in range(least, n + 1):
+            for rest in tails(n - first, first):
+                yield (first, *rest)
+
+    return [(0, *m) for m in tails(n, 1)]
+
+
+def hilbert_scheme_series(top):
+    """The coefficients of T^0..T^top in prod_(k>=1) 1/(1 - q^(k+1) T^k),
+    each a Counter {exponent of q: coefficient}: at a prime power q, the
+    T^n one counts the F_q-points of Hilb^n(A^2) (Ellingsrud and Stromme
+    1987; Goettsche 1990)."""
+    series = [Counter({0: 1})] + [Counter() for _ in range(top)]
+    for k in range(1, top + 1):  # times 1/(1 - q^(k+1) T^k), in place
+        for n in range(k, top + 1):
+            for e, c in series[n - k].items():
+                series[n][e + k + 1] += c
+    return series
+
+
+def admissible_matrices(cell, field):
+    """Every admissible matrix of the cell over a prime field GF(q), in
+    row-major slot order: each slot's coefficients run over 0..q-1 in
+    every degree up to cell.bound, so there are q^param_count of them."""
+    t, q = cell.t, field.characteristic
+    slots = [
+        [
+            Poly(field, 1, {(k,): c for k, c in enumerate(cs) if c})
+            for cs in itertools.product(range(q), repeat=max(cell.bound(i, j) + 1, 0))
+        ]
+        for i in range(1, t + 2)
+        for j in range(1, t + 1)
+    ]
+    for entries in itertools.product(*slots):
+        rows = tuple(entries[r : r + t] for r in range(0, len(entries), t))
+        yield ParamMatrix(cell, field, rows)
 
 
 @st.composite

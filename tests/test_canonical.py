@@ -48,8 +48,11 @@ from conftest import (
     EX3_GENS,
     EX3_RAW_MATRIX,
     M_EX1,
+    admissible_matrices,
     cells,
     evens_recipe,
+    hilbert_scheme_series,
+    m_vectors,
     param_matrix_from_strings,
     perturbed_basis,
     recipe,
@@ -433,6 +436,21 @@ def test_round_trip_larger_cells():
         cell = make_cell(m)
         A = sample(cell, F, seed=seed)
         assert canonicalize(list(psi(A).polys), cell) == A
+
+
+@pytest.mark.parametrize("n, q", [(5, 2), (4, 3)])
+def test_psi_is_a_bijection_onto_the_fq_points_of_the_hilbert_scheme(n, q):
+    # Every admissible matrix of every cell of colength n over GF(q), non-lex
+    # cells included: canonical_matrix certifies psi(A) and gives A back, so
+    # psi is one to one on them, and there are as many of them as F_q-points
+    # of Hilb^n(A^2).  So psi is onto those points too.  At p = 2 and 3 most
+    # columns of the critical reductions meet a top digit that is 0 mod p.
+    field, points = GF(q), 0
+    for m in m_vectors(n):
+        for A in admissible_matrices(make_cell(m), field):
+            assert canonical_matrix(psi(A))[0] == A
+            points += 1
+    assert points == sum(c * q**e for e, c in hilbert_scheme_series(n)[n].items())
 
 
 def test_canonicalize_points_on_a_line():

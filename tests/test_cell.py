@@ -17,7 +17,7 @@ from grobcell.cell import (
 )
 from grobcell.errors import BadMVector, ColengthTooSmall, NotLexSegment
 
-from conftest import M_EX1, M_EX2, M_EX3
+from conftest import M_EX1, M_EX2, M_EX3, hilbert_scheme_series, m_vectors
 from oracles import enumerate_lex_segment_cells
 
 
@@ -110,18 +110,26 @@ def test_below_diagonal_stats_goldens():
 
 
 def test_exhaustive_dimension_consistency():
-    # For every lex-segment cell of colength <= 25: the slot count, the
-    # Hilbert-function formula and its compact form agree (dimension()
-    # cross-checks all three internally), the corollary bounds hold, and
-    # the bookkeeping identities from the below-diagonal count follow.
+    # For every lex-segment cell of colength <= 25, and for the largest
+    # dense, m = 2i and m = 10i cells under the colength cap: the slot count
+    # (dimension) equals the Hilbert-function formula and its compact form,
+    # the corollary bounds hold, and the bookkeeping identities from the
+    # below-diagonal count follow.
     cells = enumerate_lex_segment_cells(25)
     assert len(cells) > 500
+    cells += [make_cell(range(0, s * (t + 1), s)) for s, t in ((1, 24), (2, 16), (10, 7))]
     for c in cells:
         n = c.colength()
         h = hilbert_function(c)
         assert sum(h) == n == sum(c.m)
         assert all(h[i] == i + 1 for i in range(min(c.t, len(h))))
         N = dimension(c)
+
+        def hv(i):
+            return h[i] if 0 <= i < len(h) else 0
+
+        assert N == n + 1 + sum(hv(i) * (hv(i - 1) - hv(i - 2)) for i in range(1, len(h)))
+        assert N == 1 + sum(hv(i) * (hv(i - 1) - hv(i - 2) + 1) for i in range(len(h)))
         if n >= 2:
             lo, hi = dimension_bounds(c)
             assert lo <= N <= hi
@@ -134,8 +142,6 @@ def test_exhaustive_dimension_consistency():
         assert t * (t + 1) // 2 + deg1 - zeros == N - n
         # generator-degree identities against the Hilbert function
         beta = lex_betti(c)
-        def hv(i):
-            return h[i] if i < len(h) else 0
         assert beta.get(t, 0) == hv(t - 1) - hv(t) + 1
         for j in sorted(beta):
             if j > t:
@@ -156,26 +162,12 @@ def test_param_counts_sum_to_the_point_count_of_the_hilbert_scheme():
     # is the point count of Hilb^n(A^2): the coefficient of T^n in
     # prod_(k>=1) 1/(1 - q^(k+1) T^k) (Ellingsrud and Stromme 1987;
     # Goettsche 1990).  Neither side is built with cell.py: the cells are
-    # their m-vectors (0, m_1 <= ... <= m_t) with m_1 > 0 and sum n, non-lex
-    # ones included, and the product is a power series in T over Z[q],
-    # each coefficient a Counter {exponent of q: coefficient}.
+    # their m-vectors, non-lex ones included, and the product is a power
+    # series in T over Z[q].
     top = 14
-    series = [Counter({0: 1})] + [Counter() for _ in range(top)]
-    for k in range(1, top + 1):  # times 1/(1 - q^(k+1) T^k), in place
-        for n in range(k, top + 1):
-            for e, c in series[n - k].items():
-                series[n][e + k + 1] += c
-
-    def tails(n, least):
-        """The non-decreasing (m_1, ..., m_t) with m_1 >= least and sum n."""
-        if n == 0:
-            yield ()
-        for first in range(least, n + 1):
-            for rest in tails(n - first, first):
-                yield (first, *rest)
-
+    series = hilbert_scheme_series(top)
     for n in range(1, top + 1):
-        counts = Counter(param_count(make_cell([0, *m])) for m in tails(n, 1))
+        counts = Counter(param_count(make_cell(m)) for m in m_vectors(n))
         assert counts == series[n], n
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import grobcell.canonical
-from grobcell import IdealBasis, Poly, psi
+from grobcell import GF, IdealBasis, Poly, make_cell, psi, sample
 from grobcell.cli import build_parser, run
 
 from conftest import (
@@ -146,6 +146,27 @@ def test_sample_rejects_negative_trials():
     code, out, err = invoke(["sample", "--m", "0,2,3", "--seed", "3", "--trials", "-1"])
     assert code == 2 and out == ""
     assert err == "error: --trials must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("trials", [[], ["--trials", "5"]])
+def test_sample_small_characteristic_warning_is_one_stderr_line(trials):
+    # sample warns over GF(2) on this cell; the CLI prints the message once
+    # per command, as a plain line, both in-process and as its own process
+    argv = ["sample", "--m", "0,2,3,5", "--field", "fp", "--prime", "2", "--seed", "1"]
+    argv += trials
+    warning = (
+        "warning: characteristic of GF(2) is small for I0(m=0,2,3,5); "
+        "Betti computations over this field may misbehave\n"
+    )
+    with pytest.warns(UserWarning, match="characteristic of GF"):  # the library warns
+        sample(make_cell([0, 2, 3, 5]), GF(2), 1)
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, warning)
+    assert invoke(argv) == (code, out, err)  # no state kept between commands
+    proc = subprocess.run(
+        [sys.executable, "-m", "grobcell", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, warning)
 
 
 @pytest.mark.parametrize(
