@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from fractions import Fraction
-from itertools import accumulate
 
 from .cell import MonomialCell, cell_from_minimal_generators
 from .errors import (
@@ -49,24 +48,9 @@ from .hilburch import (
     _check_staircase,
     _int_coefficients,
     _kronecker,
-    grade_bound,
     verify_groebner_property,
 )
 from .poly import Poly, drl_key, mono_div, mono_divides
-
-
-def _max_raw_bound(cell: MonomialCell) -> int:
-    """The largest grade_bound over the t(t+1) slots (0 when t = 0), in
-    O(t): u(i, j) = a_i + b_j with a_i = i - m_(i-1) and b_j = m_j - j, so
-    column j's largest bound is b_j plus the larger of (the largest a_i
-    with i <= j) - 1 and the largest a_i with i > j."""
-    t, m = cell.t, cell.m
-    a = [i - m[i - 1] for i in range(1, t + 2)]  # a[k] is a_(k+1)
-    upto = list(accumulate(a, max))  # upto[k] = max(a[:k+1])
-    after = list(accumulate(reversed(a), max))[::-1]  # after[k] = max(a[k:])
-    return max(
-        (m[j] - j + max(upto[j - 1] - 1, after[j]) for j in range(1, t + 1)), default=0
-    )
 
 
 def _prepare_from_gb(gb: GroebnerBasis, cell: MonomialCell = None) -> IdealBasis:
@@ -296,7 +280,7 @@ def _find_violation(M: ParamMatrix, start: tuple = (1, 1)):
             if not a:
                 continue
             deg = a.degree()
-            bound = grade_bound(cell, i, j)
+            bound = cell.raw_bound(i, j)
             if deg > bound:
                 raise InternalError(f"raw bound broken at ({i},{j}): deg {deg} > {bound}")
             if deg > cell.bound(i, j):
@@ -361,19 +345,27 @@ def canonical_matrix(basis: IdealBasis) -> tuple:
     The moves run in row-major sweeps, each scan from the slot just moved,
     until a whole pass finds no slot over its admissible bound.  The ideal
     has one admissible matrix, so the order sets only the number of moves.
-    The move cap is a guard, not a proven bound: a rescan from (1, 1) after
-    every move exceeded it on valid input.
+    The move cap, 10 t(t+1) times one more than the largest raw bound, is
+    a guard, not a proven bound: a rescan from (1, 1) after every move
+    exceeded it on valid input.
     """
     cell, t = basis.cell, basis.cell.t
     basis = _strip_x_t_tails(basis)
     M = extract_syzygies(basis)
-    cap = 10 * (t + 1) * t * (max(_max_raw_bound(cell), 0) + 1)
+    least = cap = 10 * (t + 1) * t
     moves, slot = 0, (1, 1)
     while (slot := _find_violation(M, slot)) is not None:
         if moves >= cap:
-            raise NonTerminationGuard(
-                f"exceeded {cap} reduction moves on {cell}; this is a defect"
-            )
+            # The full cap scans all t(t+1) slots, so it is found only once
+            # the moves reach `least`, which valid inputs stay far below.  It
+            # is at least 2 * least, as slot (t+1, t) has raw bound 1, so the
+            # guard fires at the same count as with the cap known up front.
+            raw = (cell.raw_bound(i, j) for i in range(1, t + 2) for j in range(1, t + 1))
+            cap = least * (1 + max(raw))
+            if moves >= cap:
+                raise NonTerminationGuard(
+                    f"exceeded {cap} reduction moves on {cell}; this is a defect"
+                )
         M, basis = reduction_move(M, basis, *slot)
         moves += 1
     return M, basis

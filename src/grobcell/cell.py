@@ -2,11 +2,12 @@
 
 A cell is determined by its m-vector.  From it everything else is derived:
 the d-vector of diagonal jumps, the Hilbert function of R/I0 (by counting
-staircase monomials), the degree matrix U, the degree-bound matrix b for
-parameter matrices, the parameter count N (the dimension) with its upper
-and lower bounds, the special index sets and the generator-degree
-data used by the Betti machinery.  make_cell, the validating constructor,
-is also the one size gate: it refuses a cell past MAX_COLENGTH.
+staircase monomials), the degree matrix U, the raw degree bounds of a
+syzygy matrix, the degree-bound matrix b for parameter matrices, the
+parameter count N (the dimension) with its upper and lower bounds, the
+special index sets and the generator-degree data used by the Betti
+machinery.  make_cell, the validating constructor, is also the one size
+gate: it refuses a cell past MAX_COLENGTH.
 
 All (i, j) indices in this module's API are 1-based, mirroring the matrix
 conventions used throughout: rows i = 1..t+1, columns j = 1..t.
@@ -24,11 +25,11 @@ from .errors import (
     WrongInitialIdeal,
 )
 
-# The largest colength n = sum(m) of a cell that make_cell accepts, so of
-# every cell a command works on; n bounds t, every m_i and N.  Measured at
-# n ~ 300 (README): every command takes at most 0.9 s on the dense, m = 2i,
-# m = 10i and few-step cells, but 16-76 s on m = (0, 1, ..., 1), t = n, so
-# the cap is the least value that every shipped input needs.
+# The largest colength n = sum(m) that make_cell accepts; n bounds t, every
+# m_i and N.  At n ~ 300 (README) every command takes at most 0.36 s on the
+# dense, m = 2i, m = 10i and few-step cells, but on m = (0, 1, ..., 1),
+# t = n, sample takes 3.06 / 2.81 s (GF(10007) / QQ), verify 3.02 s and
+# canonicalize 10.4 s: the cap is the least that every shipped input needs.
 MAX_COLENGTH = 300
 
 
@@ -51,6 +52,12 @@ class MonomialCell:
     def u(self, i: int, j: int) -> int:
         """Entry degree u_(i,j) = i - j + m_j - m_(i-1)."""
         return i - j + self.m[j] - self.m[i - 1]
+
+    def raw_bound(self, i: int, j: int) -> int:
+        """Degree cap guaranteed for the (i, j) slot of a raw syzygy matrix:
+        u_(i,j) - 1 on and above the diagonal, u_(i,j) below it."""
+        u = self.u(i, j)
+        return u - 1 if i <= j else u
 
     def bound(self, i: int, j: int) -> int:
         """Degree cap for the (i, j) slot of an admissible parameter matrix;
@@ -160,12 +167,10 @@ def param_count(cell: MonomialCell) -> int:
 
 
 def dimension(cell: MonomialCell) -> int:
-    """Dimension of a lex-segment cell: its parameter count N, as the
-    admissible matrices are the cell's affine coordinates.  On lex cells N
-    also equals the Hilbert-function formula and its compact form, which
-    the tests check."""
-    if not cell.lex_segment():
-        raise NotLexSegment(f"dimension formula requires a lex-segment cell, got {cell}")
+    """Dimension of the cell: its parameter count N, as the admissible
+    matrices are the cell's affine coordinates.  On lex cells N also equals
+    the Hilbert-function formula and its compact form, which the tests
+    check."""
     return param_count(cell)
 
 

@@ -298,13 +298,6 @@ def psi(A: ParamMatrix) -> IdealBasis:
     return IdealBasis(cell, tuple(polys))
 
 
-def grade_bound(cell: MonomialCell, i: int, j: int) -> int:
-    """Degree cap guaranteed for slot (i, j) of a raw syzygy matrix: one
-    less than the entry degree above the diagonal, the entry degree below."""
-    u = cell.u(i, j)
-    return u - 1 if i <= j else u
-
-
 def verify_groebner_property(basis: IdealBasis, A: ParamMatrix) -> bool:
     """Certify that f_0..f_t is a Groebner basis by the syzygies X + A of
     its elements, with no division.  A is a matrix over the basis's cell
@@ -312,7 +305,7 @@ def verify_groebner_property(basis: IdealBasis, A: ParamMatrix) -> bool:
     with basis psi(A), or the raw matrix canonical.extract_syzygies reads
     off a Groebner basis.  Returns True when
 
-    * every nonzero a_ij has degree at most grade_bound(i, j), and
+    * every nonzero a_ij has degree at most cell.raw_bound(i, j), and
     * every column j is a syzygy of f_0..f_t:
       y^(d_j) f_(j-1) - x f_j + sum_i a_ij f_(i-1) = 0;
 
@@ -369,7 +362,7 @@ def _failing_column(basis: IdealBasis, A: ParamMatrix) -> int:
     for i, row in enumerate(A.entries, 1):
         for j in compress(range(t), map(_terms, row)):  # the nonzero slots
             deg = row[j].degree()
-            if deg > grade_bound(cell, i, j + 1):
+            if deg > cell.raw_bound(i, j + 1):
                 return j + 1
             cols[j].append((i - 1, row[j]))
             top = max(top, deg)

@@ -269,6 +269,12 @@ def wrong_lead_move(move):
     return mutated
 
 
+def stuck_move(M, basis, i, j):
+    """A defective reduction move: it returns its input unchanged, so the
+    slot it was called on stays over its bound and the moves never end."""
+    return M, basis
+
+
 def recipe(m):
     """The inverse-map input of the benchmark's `qq/` rungs, on the cell m,
     with seed 1 for both draws: A sampled over QQ and the generators

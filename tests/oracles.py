@@ -7,6 +7,9 @@ compares the package against.  None of them is part of grobcell's API.
 * `hb_matrix` writes out X + A over K[x, y]; `permutation_determinant`
   (Leibniz) and `maximal_minors` (Laplace) give the minors that `psi`
   and `psi_bar` must equal.
+* `plain_failing_column` is the syzygy certificate of
+  `verify_groebner_property` by its definition, on Poly values: the
+  column `_failing_column` must name.
 * `is_groebner` tests every S-polynomial, with no criterion.
 * `plain_buchberger` is Buchberger's algorithm on Poly values, the
   reference `groebner.buchberger` on packed images must match exactly: one
@@ -150,6 +153,29 @@ def critical_divisions(basis) -> list:
         divide(fs[j - 1].mul_term((0, cell.d_of(j)), one) - fs[j].mul_term((1, 0), one), fs)
         for j in range(1, cell.t + 1)
     ]
+
+
+def plain_failing_column(basis, A: ParamMatrix) -> int:
+    """The column of X + A that fails the syzygy certificate of `basis`, by
+    its definition: the column of the first slot, row-major, whose entry
+    is past its raw bound, u(i, j) - 1 on and above the diagonal and
+    u(i, j) below, with u(i, j) = i - j + m_j - m_(i-1); else the first
+    column j with y^(d_j) f_(j-1) - x f_j + sum_i a_ij f_(i-1) != 0, built
+    from Poly values; else 0."""
+    m, fs, field = basis.cell.m, basis.polys, A.field
+    for i, row in enumerate(A.entries, 1):
+        for j, a in enumerate(row, 1):
+            u = i - j + m[j] - m[i - 1]
+            if a and a.degree() > (u - 1 if i <= j else u):
+                return j
+    x = Poly.monomial(field, 2, (1, 0))
+    for j in range(1, len(m)):
+        col = fs[j - 1] * Poly.monomial(field, 2, (0, m[j] - m[j - 1])) - x * fs[j]
+        for i, row in enumerate(A.entries):
+            col = col + embed(row[j - 1], 2) * fs[i]
+        if col:
+            return j
+    return 0
 
 
 def is_groebner(polys) -> bool:

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from grobcell import GF, QQ, ParamMatrix, Poly, canonicalize, make_cell, psi, sample
 import grobcell.canonical as canonical_mod
+from grobcell.cell import MonomialCell
 from grobcell.canonical import (
     _canonicalize,
     _find_violation,
-    _max_raw_bound,
     _prepare_from_gb,
     _strip_x_t_tails,
     canonical_matrix,
     extract_syzygies,
-    grade_bound,
     reduction_move,
 )
 from grobcell.cli import run
@@ -29,6 +28,7 @@ from grobcell.errors import (
     InternalReductionFailure,
     LeadingTermMismatch,
     MoveNotApplicable,
+    NonTerminationGuard,
     WrongInitialIdeal,
 )
 from grobcell.groebner import buchberger, divide, initial_ideal
@@ -58,6 +58,7 @@ from conftest import (
     recipe,
     recombine,
     stale_basis_move,
+    stuck_move,
     with_fractions,
     wrong_lead_move,
     zero_matrix,
@@ -260,26 +261,9 @@ def test_extract_syzygies_reports_first_broken_raw_bound(ex3_cell, monkeypatch):
     Slots (1,2) and (2,1) of the example's raw matrix have degree 1; a
     column-by-column report would name (2,1), and the scan discipline of
     the moves would reach (2,1) first."""
-    monkeypatch.setattr(canonical_mod, "grade_bound", lambda cell, i, j: 0 if i + j == 3 else 5)
+    monkeypatch.setattr(MonomialCell, "raw_bound", lambda cell, i, j: 0 if i + j == 3 else 5)
     with pytest.raises(InternalError, match=r"^raw bound broken at \(1,2\): deg 1 > 0$"):
         canonical_matrix(example_basis(ex3_cell))
-
-
-def test_max_raw_bound_is_the_full_scan():
-    """The O(t) largest raw bound, which sizes the move cap, equals the
-    largest grade_bound over all t(t+1) slots: on every lex-segment cell of
-    colength at most 12, on the non-lex cell (0, 2, 2, 5) and on every cell
-    the `cells` strategy can draw with t <= 4."""
-    drawable = [
-        make_cell(list(itertools.accumulate([0, first] + list(rest))))
-        for t in range(1, 5)
-        for first in (1, 2, 3)
-        for rest in itertools.product(range(4), repeat=t - 1)
-    ]
-    for cell in enumerate_lex_segment_cells(12) + [make_cell([0, 2, 2, 5])] + drawable:
-        t = cell.t
-        full = max(grade_bound(cell, i, j) for i in range(1, t + 2) for j in range(1, t + 1))
-        assert _max_raw_bound(cell) == full, cell.m
 
 
 def test_reduction_move_worked_example_sequence(ex3_cell):
@@ -325,7 +309,7 @@ def test_grade_bounds_hold_along_move_path(ex3_cell):
         for i in range(1, ex3_cell.t + 2):
             for j in range(1, ex3_cell.t + 1):
                 a = M.entry(i, j)
-                assert a.degree() <= grade_bound(ex3_cell, i, j)
+                assert a.degree() <= ex3_cell.raw_bound(i, j)
 
 
 def test_canonicalize_worked_example(ex3_gens, ex3_cell):
@@ -359,6 +343,29 @@ def test_canonicalize_catches_a_mutated_move(ex3_gens, ex3_cell, monkeypatch, mu
     monkeypatch.setattr(canonical_mod, "reduction_move", mutate(reduction_move))
     with pytest.raises(InternalError, match="^canonical matrix presents a different ideal$"):
         canonicalize(ex3_gens, ex3_cell)
+
+
+def test_move_cap_guard_fires_at_the_cap(ex3_gens, ex3_cell, monkeypatch):
+    """A stuck move never clears its slot, so canonicalize raises
+    NonTerminationGuard after exactly as many moves as the cap allows:
+    10 t(t+1) times one more than the largest raw bound, computed here
+    from m alone."""
+    m, t = ex3_cell.m, ex3_cell.t
+    u = lambda i, j: i - j + m[j] - m[i - 1]
+    raw = max(u(i, j) - (i <= j) for i in range(1, t + 2) for j in range(1, t + 1))
+    cap = 10 * t * (t + 1) * (1 + raw)
+    assert cap == 360
+    calls = []
+
+    def counted(M, basis, i, j):
+        calls.append((i, j))
+        return stuck_move(M, basis, i, j)
+
+    monkeypatch.setattr(canonical_mod, "reduction_move", counted)
+    message = rf"^exceeded {cap} reduction moves on I0\(m=0,2,3,5\); this is a defect$"
+    with pytest.raises(NonTerminationGuard, match=message):
+        canonicalize(ex3_gens, ex3_cell)
+    assert len(calls) == cap
 
 
 @pytest.mark.filterwarnings("ignore:characteristic of GF")

@@ -70,8 +70,7 @@ def test_dimension_goldens():
     assert dimension(make_cell(M_EX2)) == 195
     assert dimension(make_cell(M_EX1)) == 30
     assert dimension(make_cell([0, 1])) == 2
-    with pytest.raises(NotLexSegment):
-        dimension(make_cell([0, 2, 2, 5]))
+    assert dimension(make_cell([0, 2, 2, 5])) == 15  # not a lex segment
 
 
 def test_dimension_bounds_goldens():
@@ -150,10 +149,17 @@ def test_exhaustive_dimension_consistency():
             assert hv(i) == sum(v for j, v in beta.items() if j > i)
 
 
-def test_param_count_matches_dimension_only_for_lex():
-    # param_count is defined for every cell; dimension refuses non-lex ones
-    c = make_cell([0, 2, 2, 5])
-    assert param_count(c) > 0
+def test_dimension_is_the_param_count_of_every_cell():
+    # the admissible matrices are the affine coordinates of every cell, lex
+    # or not (the Hilbert scheme point count below checks the sum of
+    # q^param_count); only the corollary bounds need a lex cell
+    for n in range(1, 9):
+        for m in m_vectors(n):
+            c = make_cell(m)
+            assert dimension(c) == param_count(c)
+            if not c.lex_segment() and n >= 2:
+                with pytest.raises(NotLexSegment):
+                    dimension_bounds(c)
 
 
 def test_param_counts_sum_to_the_point_count_of_the_hilbert_scheme():

@@ -8,7 +8,7 @@ import pytest
 
 import grobcell.canonical
 from grobcell import GF, IdealBasis, Poly, make_cell, psi, sample
-from grobcell.cli import build_parser, run
+from grobcell.cli import MAX_TRIALS, build_parser, run
 
 from conftest import (
     EX3_A_ROWS,
@@ -17,6 +17,7 @@ from conftest import (
     M_EX2,
     M_EX3,
     stale_basis_move,
+    stuck_move,
     wrong_lead_move,
 )
 
@@ -77,9 +78,14 @@ def test_dim_command():
     assert json.loads(out)["dimension"] == 195
 
 
-def test_dim_rejects_non_lex():
+def test_dim_of_a_non_lex_cell():
+    # the parameter count is the dimension of every cell; the corollary
+    # bounds are given for lex cells only
+    code, out, err = invoke(["dim", "--m", "0,1,1", "--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"m": [0, 1, 1], "dimension": 3}
     code, out, err = invoke(["dim", "--m", "0,2,2,5"])
-    assert code == 2 and "NOT_LEXSEGMENT" in err
+    assert (code, out, err) == (0, "dim V(I0) = 15\n", "")
 
 
 def test_bad_m_vector_exit_code():
@@ -146,6 +152,18 @@ def test_sample_rejects_negative_trials():
     code, out, err = invoke(["sample", "--m", "0,2,3", "--seed", "3", "--trials", "-1"])
     assert code == 2 and out == ""
     assert err == "error: --trials must be non-negative, got -1\n"
+
+
+def test_sample_rejects_trials_past_the_cap(monkeypatch):
+    # the count is refused before any trial is sampled
+    def no_sample(*args):
+        raise AssertionError("sampled past the --trials cap")
+
+    monkeypatch.setattr("grobcell.cli.sample", no_sample)
+    n = MAX_TRIALS + 1
+    code, out, err = invoke(["sample", "--m", "0,2,3", "--seed", "1", "--trials", str(n)])
+    assert code == 2 and out == ""
+    assert err == f"error: --trials must be at most {MAX_TRIALS}, got {n}\n"
 
 
 @pytest.mark.parametrize("trials", [[], ["--trials", "5"]])
@@ -429,6 +447,18 @@ def test_canonicalize_mutated_move_is_a_defect(ex3_gens_file, monkeypatch, mutat
     code, out, err = invoke(["canonicalize", "--gens", ex3_gens_file])
     assert code == 3 and out == ""
     assert err == "defect[INTERNAL]: canonical matrix presents a different ideal\n"
+
+
+def test_canonicalize_stuck_move_hits_the_guard(ex3_gens_file, monkeypatch):
+    # a move that never clears its slot ends at the move cap in the defect
+    # exit code, with one line on stderr and no traceback
+    monkeypatch.setattr("grobcell.canonical.reduction_move", stuck_move)
+    code, out, err = invoke(["canonicalize", "--gens", ex3_gens_file])
+    assert code == 3 and out == ""
+    assert err == (
+        "defect[NON_TERMINATION_GUARD]: exceeded 360 reduction moves on "
+        "I0(m=0,2,3,5); this is a defect\n"
+    )
 
 
 def test_betti_cli(tmp_path):

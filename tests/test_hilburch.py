@@ -49,6 +49,7 @@ from oracles import (
     is_groebner,
     maximal_minors,
     permutation_determinant,
+    plain_failing_column,
 )
 
 
@@ -373,6 +374,61 @@ def test_verify_groebner_property_digits_wider_than_a_word():
     fs[-1] = fs[-1] + Poly.monomial(field, 2, (0, 0))
     # row t+1 of X + A is zero but for its -x in column t: u(4, 1), u(4, 2) < 0
     assert _failing_column(IdealBasis(cell, tuple(fs)), A) == cell.t
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cell=cells(),
+    field=st.sampled_from([QQ, GF(2), GF(3), GF(10007), GF(2**61 - 1)]),
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(["psi", "slot", "tail", "x^t tail", "past raw bound"]),
+    data=st.data(),
+)
+def test_failing_column_agrees_with_the_plain_oracle(cell, field, seed, case, data):
+    """_failing_column names the column plain_failing_column finds: on psi(A);
+    with a constant added to one nonzero slot; with a monomial below the
+    leading term added to one f_i, an x^t-divisible one in some f_i with
+    i >= 1 included; and with one slot pushed one degree past its raw
+    bound."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small characteristic
+        A = sample(cell, field, seed)
+    if field == QQ:
+        A = with_fractions(A, random.Random(seed))
+    fs, rows = list(psi(A).polys), [list(r) for r in A.entries]
+    t = cell.t
+    if case == "slot":
+        slots = [(i, j) for i, row in enumerate(rows) for j, a in enumerate(row) if a]
+        if slots:
+            i, j = data.draw(st.sampled_from(slots))
+            rows[i][j] = rows[i][j] + Poly.constant(field, 1, 1)
+    elif case in ("tail", "x^t tail"):
+        low = t if case == "x^t tail" else 0
+        below = [
+            (k, (a, b))
+            for k, f in enumerate(fs)
+            for a in range(low, t + 1)
+            for b in range(sum(f.leading_monomial()) + 1)
+            if drl_key((a, b)) < drl_key(f.leading_monomial())
+        ]
+        if below:
+            k, mono = data.draw(st.sampled_from(below))
+            fs[k] = fs[k] + Poly.monomial(field, 2, mono)
+    elif case == "past raw bound":
+        slots = [
+            (i, j)
+            for i in range(1, t + 2)
+            for j in range(1, t + 1)
+            if cell.raw_bound(i, j) >= -1
+        ]
+        i, j = data.draw(st.sampled_from(slots))
+        y = Poly.monomial(field, 1, (cell.raw_bound(i, j) + 1,))
+        rows[i - 1][j - 1] = rows[i - 1][j - 1] + y
+    basis = IdealBasis(cell, tuple(fs))
+    A = ParamMatrix(cell, field, tuple(map(tuple, rows)))
+    assert _failing_column(basis, A) == plain_failing_column(basis, A)
+    if case == "psi":
+        assert _failing_column(basis, A) == 0
 
 
 def _divisions_certify(basis):
