@@ -288,20 +288,12 @@ def _find_violation(M: ParamMatrix, start: tuple = (1, 1)):
     return None
 
 
-def canonicalize(gens, cell: MonomialCell = None) -> ParamMatrix:
-    """Return the admissible parameter matrix A with I_t(X+A) = (gens).
-
-    The cell is inferred from the computed initial ideal; a given cell
-    must be that one.  The basis carried through the reduction moves is
-    certified against A before A is returned.
-    """
-    return _canonicalize(gens, cell)[0]
-
-
-def _canonicalize(gens, cell: MonomialCell = None) -> tuple:
-    """canonicalize(gens, cell) and the basis g that the moves carried,
-    which the certificate makes psi(A) term for term.  Let J = (gens),
-    whose initial ideal I0 the cell was read from.
+def canonicalize(gens, cell: MonomialCell = None) -> tuple:
+    """Return (A, g): the admissible parameter matrix A with
+    I_t(X+A) = (gens), and the basis g that the reduction moves carried,
+    which the certificate makes psi(A) term for term.  The cell is inferred
+    from the computed initial ideal; a given cell must be that one.  Let
+    J = (gens), whose initial ideal I0 the cell was read from.
     1. Each move adds to one g_i a K[x, y]-multiple of another, so g
        stays in J.
     2. verify_groebner_property(g, A) makes g a Groebner basis with the
@@ -316,9 +308,6 @@ def _canonicalize(gens, cell: MonomialCell = None) -> tuple:
        polynomials in x over K[y], so b = a.
     So g = D = psi(A) and I_t(X + A) = J.  A failed certificate, a wrong
     leading term included, is a defect."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
     A, basis = canonical_matrix(_prepare_from_gb(buchberger(gens), cell))
     with suppress(LeadingTermMismatch):
         if verify_groebner_property(basis, A):

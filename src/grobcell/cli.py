@@ -18,7 +18,7 @@ import warnings
 
 from . import betti as betti_mod
 from . import cell as cell_mod
-from .canonical import _canonicalize, canonical_matrix
+from .canonical import canonical_matrix, canonicalize
 from .errors import BadMVector, InternalError, InternalReductionFailure, ValidationError
 from .field import GF, QQ
 from .hilburch import (
@@ -120,6 +120,7 @@ def _cell_report(cell):
     h = cell_mod.hilbert_function(cell)
     deg1, zeros = cell_mod.below_diagonal_stats(cell)
     big, jumps = cell_mod.special_indices(cell)
+    n = cell_mod.dimension(cell)  # the parameter count, on every cell
     report = {
         "m": list(cell.m),
         "t": cell.t,
@@ -132,12 +133,12 @@ def _cell_report(cell):
         "bound_matrix": [list(r) for r in cell_mod.bound_matrix(cell).rows],
         "special_i": list(big),
         "special_j": list(jumps),
-        "parameter_count": cell_mod.param_count(cell),
+        "parameter_count": n,
+        "dimension": n,
         "below_diagonal_degree1_slots": deg1,
         "below_diagonal_zero_slots": zeros,
     }
     if cell.lex_segment():
-        report["dimension"] = cell_mod.dimension(cell)
         report["lex_betti"] = {str(k): v for k, v in cell_mod.lex_betti(cell).items()}
         if cell.colength() >= 2:
             lo, hi = cell_mod.dimension_bounds(cell)
@@ -272,7 +273,7 @@ def _cmd_canonicalize(args, out):
     field = _field_from_args(args) or QQ
     gens = _load_gens(args.gens, field)
     cell = _parse_m(args.m) if args.m is not None else None
-    A, basis = _canonicalize(gens, cell)
+    A, basis = canonicalize(gens, cell)
     regenerated = [format_poly(p) for p in basis.polys]
     report = {"matrix": param_matrix_to_json(A), "generators": regenerated}
     if args.json:

@@ -179,25 +179,14 @@ class _PackedDivisors:
         lm = unpack(max(image)) if image else None
         return Poly(self.field, self.packing.nvars, terms, lm)
 
-    def monic(self, image: dict) -> dict:
-        """The nonzero image divided by its leading coefficient."""
-        lc = image[max(image)]
-        if self.p:
-            p, scale = self.p, self.field.inv(lc)
-            return {m: c * scale % p for m, c in image.items()}
-        out = {}
-        for m, c in image.items():
-            c = Fraction(c, lc)
-            out[m] = c.numerator if c.denominator == 1 else c
-        return out
-
     def primitive(self, image: dict) -> dict:
         """The scalar multiple of the nonzero image that Buchberger keeps:
         over QQ the primitive one, with int coefficients, content 1 and a
         positive leading coefficient; over GF(p), where every nonzero
         scalar is a unit, the monic one."""
         if self.p:
-            return self.monic(image)
+            p, scale = self.p, self.field.inv(image[max(image)])
+            return {m: c * scale % p for m, c in image.items()}
         den = math.lcm(*(c.denominator for c in image.values()))
         image = {m: c.numerator * (den // c.denominator) for m, c in image.items()}
         content = math.gcd(*image.values())
@@ -409,7 +398,7 @@ def buchberger(gens) -> GroebnerBasis:
 
     # The largest packed monomial of an image is its leading one.
     images.sort(key=max, reverse=True)
-    return GroebnerBasis(tuple(G.poly(G.monic(g)) for g in images), G.field)
+    return GroebnerBasis(tuple(G.poly(g).monic() for g in images), G.field)
 
 
 def minimal_monomial_generators(monos) -> tuple:

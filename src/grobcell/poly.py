@@ -223,7 +223,8 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ZeroPolynomial("the zero polynomial cannot be made monic")
-        return self.scale(self.field.inv(self.leading_coeff()))
+        lc = self.leading_coeff()
+        return self if lc == 1 else self.scale(self.field.inv(lc))
 
     # -- term access -----------------------------------------------------
 

@@ -142,7 +142,7 @@ def test_criterion_5_bijectivity(forward_samples):
         failures = 0
         for cell, A in forward_samples:
             basis = psi(A)
-            if canonicalize(list(basis.polys), cell) != A:
+            if canonicalize(list(basis.polys), cell)[0] != A:
                 failures += 1
             if canonical_matrix(basis)[0] != A:
                 failures += 1

@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grobcell import GF, QQ, char_ok, hilbert_function, make_cell, sample
+from grobcell import GF, QQ, Poly, char_ok, hilbert_function, make_cell, sample
 from grobcell.betti import (
     betti_numbers,
     block_matrix,
@@ -18,10 +20,12 @@ from grobcell.betti import (
 )
 from grobcell.cell import lex_betti
 from grobcell.errors import CharTooSmall, EmptyStratum, NotLexSegment
+from grobcell.hilburch import check_membership
 from grobcell.projective import psi_bar
 
+import oracles
 from conftest import M_EX1, M_EX2, M_EX3, param_matrix_from_strings, zero_matrix
-from oracles import enumerate_lex_segment_cells, minimalize_homogeneous
+from oracles import enumerate_lex_segment_cells, minimalize_homogeneous, plain_buchberger
 
 
 def ex1_matrix(a31):
@@ -202,3 +206,59 @@ def test_strata_codim_total_matches_products():
         assert total == sum(
             table.beta1.get(j, 0) * u for j, u in table.beta0.items()
         )
+
+
+def rank_count(q, a, b, r):
+    """The number of a x b matrices of rank r over GF(q) (Landsberg 1893)."""
+    num = math.prod((q**a - q**i) * (q**b - q**i) for i in range(r))
+    den = math.prod(q**r - q**i for i in range(r))
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "m, q",
+    [((0, 1, 2, 4), 5), ((0, 1, 2, 4), 7), ((0, 1, 3, 5), 5), ((0, 1, 3, 5), 7), ((0, 1, 2, 4, 5), 5)],
+    ids=["1x2-q5", "1x2-q7", "two-1x1-q5", "two-1x1-q7", "2x2-q5"],
+)
+def test_betti_strata_by_exact_point_counts(m, q, monkeypatch):
+    """Iarrobino's strata counted point by point.  The block coordinates
+    (one 1x2 block, two 1x1 blocks, one 2x2 block on the cells above) run
+    over every value in GF(q), every other coordinate is drawn at random
+    per point, and beta_0 comes from a minimal homogeneous generating set
+    of psi_bar(A), computed with plain_buchberger alone.  The histogram of
+    beta_0 must be the product over blocks of the number of a x b matrices
+    of each rank r, a polynomial in q of degree ab - (a-r)(b-r): the
+    stratum of beta_0,j = a - r has codimension (a-r)(b-r)."""
+    monkeypatch.setattr(oracles, "buchberger", plain_buchberger)
+    cell, field = make_cell(m), GF(q)
+    assert char_ok(field, hilbert_function(cell))
+    rd = resolution_degrees(cell)
+    blocks = {}
+    for j in sorted(set(rd.p) | set(rd.q)):
+        w, v = index_sets(cell, j)
+        if w and v:
+            blocks[j] = (w, v)
+    slots = [(i + 1, c) for w, v in blocks.values() for i in w for c in v]
+    rng = random.Random(q)
+
+    histogram = Counter()
+    for values in itertools.product(range(q), repeat=len(slots)):
+        rows = [list(r) for r in sample(cell, field, rng.getrandbits(32)).entries]
+        for (i, c), value in zip(slots, values):
+            rows[i - 1][c - 1] = Poly(field, 1, {(0,): value} if value else {})
+        A = check_membership(cell, rows, field)
+        beta0 = minimalize_homogeneous(list(psi_bar(A).polys))
+        assert betti_numbers(A).beta0 == beta0
+        histogram[tuple(beta0.items())] += 1
+
+    expected = Counter()
+    for ranks in itertools.product(*(range(min(len(w), len(v)) + 1) for w, v in blocks.values())):
+        beta0, count = lex_betti(cell), 1
+        for (j, (w, v)), r in zip(blocks.items(), ranks):
+            a, b = len(w), len(v)
+            count *= rank_count(q, a, b, r)
+            beta0[j] -= r
+            assert strata_codim(cell, j, a - r) == (a - r) * (b - r)
+        expected[tuple((j, n) for j, n in beta0.items() if n)] += count
+    assert histogram == expected

@@ -12,7 +12,6 @@ from grobcell import GF, QQ, ParamMatrix, Poly, canonicalize, make_cell, psi, sa
 import grobcell.canonical as canonical_mod
 from grobcell.cell import MonomialCell
 from grobcell.canonical import (
-    _canonicalize,
     _find_violation,
     _prepare_from_gb,
     _strip_x_t_tails,
@@ -313,12 +312,12 @@ def test_grade_bounds_hold_along_move_path(ex3_cell):
 
 
 def test_canonicalize_worked_example(ex3_gens, ex3_cell):
-    A = canonicalize(ex3_gens, ex3_cell)
+    A = canonicalize(ex3_gens, ex3_cell)[0]
     assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
 
 
 def test_canonicalize_infers_cell(ex3_gens, ex3_cell):
-    A = canonicalize(ex3_gens)
+    A = canonicalize(ex3_gens)[0]
     assert A.cell == ex3_cell
 
 
@@ -326,7 +325,7 @@ def test_canonicalize_monomials(ex1_cell):
     gens = [
         P(f"x^{ex1_cell.t - i}*y^{ex1_cell.m[i]}") for i in range(ex1_cell.t + 1)
     ]
-    A = canonicalize(gens, ex1_cell)
+    A = canonicalize(gens, ex1_cell)[0]
     assert all(e.is_zero() for row in A.entries for e in row)
 
 
@@ -381,7 +380,7 @@ def test_canonicalize_returns_psi_as_the_carried_basis(cell, field, seed):
     A = sample(cell, field, seed)
     basis = psi(A)
     gens = recombine(list(basis.polys), random.Random(seed))
-    assert _canonicalize(gens, cell) == (A, basis)
+    assert canonicalize(gens, cell) == (A, basis)
 
 
 def test_canonicalize_divides_critical_pairs_once(ex3_gens, ex3_cell, monkeypatch):
@@ -395,7 +394,7 @@ def test_canonicalize_divides_critical_pairs_once(ex3_gens, ex3_cell, monkeypatc
         return real(basis)
 
     monkeypatch.setattr(canonical_mod, "extract_syzygies", spy)
-    A = canonicalize(ex3_gens, ex3_cell)
+    A = canonicalize(ex3_gens, ex3_cell)[0]
     assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
     assert len(calls) == 1
 
@@ -407,16 +406,16 @@ def test_round_trip_random():
     for k in range(25):
         cell = rng.choice(cells)
         A = sample(cell, F, seed=5000 + k)
-        assert canonicalize(list(psi(A).polys), cell) == A
+        assert canonicalize(list(psi(A).polys), cell)[0] == A
 
 
 def test_non_lex_segment_idempotent_through_ideal():
-    # uniqueness is not claimed off the lex-segment locus; only that the
-    # canonical form presents the same ideal
+    # the canonical form presents the same ideal; the matrix itself is
+    # pinned on non-lex cells by the exhaustive bijection test below
     cell = make_cell([0, 2, 2, 5])
     A = sample(cell, GF(10007), seed=321)
     fs = list(psi(A).polys)
-    A2 = canonicalize(fs, cell)  # checks mutual reduction itself
+    A2 = canonicalize(fs, cell)[0]  # checks mutual reduction itself
     fs2 = list(psi(A2).polys)
     gb1 = buchberger(fs)
     for g in fs2:
@@ -426,10 +425,15 @@ def test_non_lex_segment_idempotent_through_ideal():
 
 def test_canonicalize_point_ideal():
     # vanishing ideal of the point (1, 2); X+A = [[y-2], [-x+1]]
-    A = canonicalize([P("x-1"), P("y-2")])
+    A = canonicalize([P("x-1"), P("y-2")])[0]
     assert A.cell == make_cell([0, 1])
     assert [[str(e) for e in row] for row in A.entries] == [["-2"], ["1"]]
     assert [str(f) for f in psi(A).polys] == ["x-1", "y-2"]
+
+
+def test_canonicalize_rejects_empty_input():
+    with pytest.raises(ValueError, match="need at least one nonzero generator"):
+        canonicalize([])
 
 
 def test_canonicalize_rejects_non_artinian():
@@ -442,7 +446,7 @@ def test_round_trip_larger_cells():
     for m, seed in (([0, 1, 2, 3, 4, 5, 6, 7], 5), ([0, 2, 4, 6, 8, 10], 6)):
         cell = make_cell(m)
         A = sample(cell, F, seed=seed)
-        assert canonicalize(list(psi(A).polys), cell) == A
+        assert canonicalize(list(psi(A).polys), cell)[0] == A
 
 
 @pytest.mark.parametrize("n, q", [(5, 2), (4, 3)])
@@ -467,7 +471,7 @@ def test_canonicalize_points_on_a_line():
         for i in range(k):
             prod = prod * P(f"x-{i}" if i else "x")
         gens = [P("y-2*x-1"), prod]
-        A = canonicalize(gens)
+        A = canonicalize(gens)[0]
         assert A.cell.m == (0, k)
         # the ideal is radical of colength k
         gb = buchberger(list(psi(A).polys))
@@ -482,7 +486,7 @@ def test_canonicalize_points_on_a_parabola():
         for i in range(k):
             prod = prod * P(f"x-{i}" if i else "x")
         gens = [P("y-x^2"), prod]
-        A = canonicalize(gens)
+        A = canonicalize(gens)[0]
         assert A.cell.colength() == k
         gb = buchberger(list(psi(A).polys))
         for g in gens:
@@ -508,7 +512,7 @@ def test_canonicalize_messy_regenerating_sets():
                 continue
             mult = parse_poly(f"{rng.randrange(1, 10007)}*y+{rng.randrange(10007)}", F, 2)
             mixed[i] = mixed[i] + mult * mixed[j]
-        assert canonicalize(mixed, cell) == A
+        assert canonicalize(mixed, cell)[0] == A
 
 
 def test_canonicalize_from_scrambled_generators(ex3_gens, ex3_cell):
@@ -520,14 +524,14 @@ def test_canonicalize_from_scrambled_generators(ex3_gens, ex3_cell):
         ex3_gens[0] + ex3_gens[1],
         ex3_gens[3],
     ]
-    A = canonicalize(scrambled, ex3_cell)
+    A = canonicalize(scrambled, ex3_cell)[0]
     assert tuple(tuple(str(e) for e in row) for row in A.entries) == EX3_A_ROWS
 
 
 @pytest.mark.parametrize("t", [8, 10])
 def test_canonicalize_past_the_coefficient_growth_cliff(t):
     A, gens = evens_recipe(t)
-    assert canonicalize(gens) == A
+    assert canonicalize(gens)[0] == A
 
 
 def test_canonicalize_near_flat_recipe():
@@ -536,7 +540,7 @@ def test_canonicalize_near_flat_recipe():
     runs the same recipe at t = 200 through the CLI under a timeout."""
     A, gens = recipe([0] + [1] * 40)
     assert not A.cell.lex_segment()
-    assert canonicalize(gens) == A
+    assert canonicalize(gens)[0] == A
 
 
 def test_evens10_data_is_the_recipe():
@@ -598,7 +602,7 @@ def test_canonical_matrix_of_psi_equals_buchberger_route(cell, field, seed):
     # critical S-polynomials of psi(A) itself, so it is the certificate
     assert _strip_x_t_tails(basis).polys == basis.polys
     assert canonical_matrix(basis) == (A, basis)
-    assert canonicalize(list(basis.polys), cell) == A
+    assert canonicalize(list(basis.polys), cell)[0] == A
 
 
 @pytest.mark.filterwarnings("ignore:characteristic of GF")
@@ -617,7 +621,7 @@ def test_canonical_matrix_with_moves_equals_buchberger_route(cell, field, seed):
     A = sample(cell, field, seed)
     result = canonical_matrix(basis)
     assert result == (A, psi(A))
-    assert result == _canonicalize(list(basis.polys), cell)
+    assert result == canonicalize(list(basis.polys), cell)
 
 
 def test_fractional_mex2_round_trip_takes_few_moves(monkeypatch):
@@ -631,7 +635,7 @@ def test_fractional_mex2_round_trip_takes_few_moves(monkeypatch):
 
     A = param_matrix_from_json(json.loads((DATA / "mex2_fractions_qq.json").read_text()))
     monkeypatch.setattr(canonical_mod, "reduction_move", counted)
-    assert canonicalize(list(psi(A).polys)) == A
+    assert canonicalize(list(psi(A).polys))[0] == A
     assert len(calls) <= 300
 
 
@@ -648,7 +652,7 @@ def test_recombined_gf3_input_canonicalizes_within_the_move_cap():
     text = "".join(format_poly(g) + "\n" for g in gens)
     assert (DATA / "recombined11_gf3.txt").read_text() == text
     assert json.loads((DATA / "recombined11_gf3.json").read_text()) == param_matrix_to_json(A0)
-    assert canonicalize(gens) == A0
+    assert canonicalize(gens)[0] == A0
 
 
 def test_reduction_moves_preserve_ideal_random():

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import grobcell.canonical
+import grobcell.cli
 from grobcell import GF, IdealBasis, Poly, make_cell, psi, sample
 from grobcell.cli import MAX_TRIALS, build_parser, run
 
@@ -86,6 +87,17 @@ def test_dim_of_a_non_lex_cell():
     assert json.loads(out) == {"m": [0, 1, 1], "dimension": 3}
     code, out, err = invoke(["dim", "--m", "0,2,2,5"])
     assert (code, out, err) == (0, "dim V(I0) = 15\n", "")
+
+
+def test_cell_json_gives_the_dimension_of_a_non_lex_cell():
+    # like dim, cell reports the dimension on every cell; the lex Betti
+    # numbers and the corollary bounds stay lex-only
+    code, out, err = invoke(["cell", "--m", "0,2,2,5", "--json"])
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["lex_segment"] is False
+    assert obj["dimension"] == obj["parameter_count"] == 15
+    assert "lex_betti" not in obj and "dimension_bounds" not in obj
 
 
 def test_bad_m_vector_exit_code():
@@ -428,6 +440,23 @@ def test_canonicalize_cli(ex3_gens_file):
     obj = json.loads(out)
     assert obj["matrix"]["entries"] == [list(r) for r in EX3_A_ROWS]
     assert obj["generators"] == list(EX3_REGENERATED)
+
+
+def test_canonicalize_cli_goes_through_the_public_entry(ex3_gens_file, monkeypatch):
+    # the command calls canonical.canonicalize once, by the name the
+    # benchmark's tracer wraps, and prints what it returns
+    _, expected, _ = invoke(["canonicalize", "--gens", ex3_gens_file, "--json"])
+    calls = []
+    real = grobcell.cli.canonicalize
+
+    def spy(gens, cell=None):
+        calls.append(cell)
+        return real(gens, cell)
+
+    monkeypatch.setattr(grobcell.cli, "canonicalize", spy)
+    assert invoke(["canonicalize", "--gens", ex3_gens_file, "--json"]) == (0, expected, "")
+    assert calls == [None]
+    assert real is grobcell.canonical.canonicalize
 
 
 def test_canonicalize_wrong_cell(ex3_gens_file):
